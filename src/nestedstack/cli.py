@@ -2,8 +2,9 @@
 
 Exit codes: 0 success or positive verdict, 1 negative verdict (rejected,
 nondeterministic, unbounded erasing, cycle found, inconsistency), 2 usage
-or parse error, 3 resource cap exceeded.  Identical inputs and flags
-produce byte-identical output.
+or parse error, 3 resource cap exceeded, 4 internal error (an unexpected
+exception, reported on one line).  Identical inputs and flags produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_CAPPED = 3
+EXIT_INTERNAL = 4
+
+# Count-valued options that make no sense below zero.
+_NON_NEGATIVE = (
+    "horizon", "max_tree_edges", "max_steps", "max_frontier",
+    "max_vertices", "max_depth", "max_len",
+)
+
+
+class _UsageError(Exception):
+    """Bad command-line input found after parsing; exits with EXIT_USAGE."""
 
 
 def _fail(path: str, exc: Exception) -> int:
@@ -54,7 +66,11 @@ def _fail(path: str, exc: Exception) -> int:
 
 def _load_machine(path: str) -> Machine:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_machine(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MachineError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_machine(text)
 
 
 def _format_word(word: Tuple[str, ...]) -> str:
@@ -92,8 +108,11 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 def _read_word(args) -> Tuple[str, ...]:
     if getattr(args, "word_file", None):
-        with open(args.word_file, "r", encoding="utf-8") as fh:
-            return tuple(fh.read().split())
+        try:
+            with open(args.word_file, "r", encoding="utf-8") as fh:
+                return tuple(fh.read().split())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _UsageError(f"{args.word_file}: {exc}") from None
     return parse_word(args.word or "")
 
 
@@ -801,7 +820,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    for name in _NON_NEGATIVE:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be non-negative, got {value}", file=sys.stderr)
+            return EXIT_USAGE
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # a crash must never read as a negative verdict
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

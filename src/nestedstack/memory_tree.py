@@ -12,6 +12,7 @@ exception: partiality here is semantics, not an error condition.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -86,52 +87,177 @@ def pop(symbol: str) -> StackOp:
 STAY = StackOp("stay")
 
 
-@dataclass(frozen=True)
+# Vertex nodes are plain tuples, immutable and shared by every tree that
+# contains the vertex.  `prev` is the vertex created just before, so a
+# node is also the whole creation-order history up to it; `saved` is the
+# spine (see MemoryTree) from the parent down to `prev` at the moment the
+# vertex was pushed, which is exactly what popping it has to restore.
+_INDEX, _LABEL, _PARENT_INDEX, _PARENT, _PREV, _SAVED, _HASH = range(7)
+
+
+def _node(index, label, parent_index, parent, prev, saved):
+    h = hash((prev[_HASH] if prev is not None else 0, parent_index, label))
+    return (index, label, parent_index, parent, prev, saved, h)
+
+
+def _path(top, bottom):
+    """Linked list `(node, rest)` of the vertices strictly below `top` on
+    its path down to `bottom`, nearest to `top` first; None when they
+    coincide, or when `top` is no ancestor of `bottom` (invalid trees)."""
+    path = None
+    node = bottom
+    while node is not top:
+        if node is None or top is None or node[_INDEX] < top[_INDEX]:
+            return None
+        path = (node, path)
+        node = node[_PARENT]
+    return path
+
+
+class _Column(Sequence):
+    """Read-only view of one per-vertex field in creation order.  Its
+    length is O(1); the items are collected into a tuple on first use."""
+
+    __slots__ = ("_latest", "_field", "_items")
+
+    def __init__(self, latest, field):
+        self._latest = latest
+        self._field = field
+        self._items = None
+
+    def __len__(self):
+        return self._latest[_INDEX] + 1
+
+    def _tuple(self):
+        if self._items is None:
+            items = []
+            node, field = self._latest, self._field
+            while node is not None:
+                items.append(node[field])
+                node = node[_PREV]
+            items.reverse()
+            self._items = tuple(items)
+        return self._items
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        if isinstance(other, _Column):
+            other = other._tuple()
+        return self._tuple() == other
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+    def __repr__(self):
+        return repr(self._tuple())
+
+
 class MemoryTree:
     """Rooted labeled tree in creation order with a distinguished vertex.
 
-    parents[i] is the parent of vertex i (-1 for the root), labels[i] the
-    label of its inedge (EPSILON for the root).  Vertex len-1 is the latest.
-    Instances are immutable; operations return fresh trees.
+    `parents[i]` is the parent of vertex i (-1 for the root), `labels[i]`
+    the label of its inedge (EPSILON for the root).  Vertex len-1 is the
+    latest.  Instances are immutable; operations return fresh trees.
+
+    Internally a tree is the latest vertex node, the distinguished vertex
+    node, and the spine: a linked list of the vertices from the child of
+    the distinguished vertex down to the latest one.  Trees share nodes,
+    so every stack operation and the hash are O(1); equality walks the two
+    creation histories only until they meet at a shared node.
     """
 
-    parents: Tuple[int, ...] = (-1,)
-    labels: Tuple[str, ...] = (EPSILON,)
-    distinguished: int = 0
+    __slots__ = ("_latest", "_node", "_spine", "_hash", "distinguished")
+
+    def __new__(cls, parents=(-1,), labels=(EPSILON,), distinguished: int = 0):
+        parents, labels = tuple(parents), tuple(labels)
+        if not parents or len(parents) != len(labels):
+            raise ValueError("a memory tree needs one parent and one label per vertex")
+        nodes = []
+        prev = None
+        for i, (p, label) in enumerate(zip(parents, labels)):
+            parent = nodes[p] if 0 <= p < i else None
+            prev = _node(i, label, p, parent, prev, _path(parent, prev))
+            nodes.append(prev)
+        node = nodes[distinguished] if 0 <= distinguished < len(nodes) else None
+        return _tree(prev, node, _path(node, prev), distinguished)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MemoryTree is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return MemoryTree, (tuple(self.parents), tuple(self.labels), self.distinguished)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not MemoryTree:
+            return NotImplemented
+        if self._hash != other._hash or self.distinguished != other.distinguished:
+            return False
+        a, b = self._latest, other._latest
+        while a is not b:  # equal indices all the way, so both reach None together
+            if a[:3] != b[:3] or a[_HASH] != b[_HASH]:
+                return False
+            a, b = a[_PREV], b[_PREV]
+        return True
+
+    def __repr__(self):
+        return (
+            f"MemoryTree(parents={tuple(self.parents)!r}, "
+            f"labels={tuple(self.labels)!r}, distinguished={self.distinguished!r})"
+        )
+
+    @property
+    def parents(self) -> Sequence[int]:
+        return _Column(self._latest, _PARENT_INDEX)
+
+    @property
+    def labels(self) -> Sequence[str]:
+        return _Column(self._latest, _LABEL)
 
     def __len__(self):
-        return len(self.parents)
+        return self._latest[_INDEX] + 1
 
     @property
     def edge_count(self) -> int:
-        return len(self.parents) - 1
+        return self._latest[_INDEX]
 
     @property
     def current_symbol(self) -> str:
         """Label of the inedge to the distinguished vertex; EPSILON at the root."""
-        return self.labels[self.distinguished]
-
-    def children(self, v: int) -> List[int]:
-        return [i for i, p in enumerate(self.parents) if p == v]
-
-    def is_leaf(self, v: int) -> bool:
-        return v not in self.parents
+        return self._node[_LABEL]
 
     def spine(self) -> List[int]:
         """Vertices on the path from the root to the latest vertex."""
         path = []
-        v = len(self.parents) - 1
-        while v != -1:
-            path.append(v)
-            v = self.parents[v]
+        node = self._latest
+        while node is not None:
+            path.append(node[_INDEX])
+            node = node[_PARENT]
         path.reverse()
         return path
 
     def branch_labels(self) -> Optional[Tuple[str, ...]]:
         """Edge labels root-to-leaf when the tree is a single branch, else None."""
-        if any(self.parents[i] != i - 1 for i in range(1, len(self.parents))):
-            return None
-        return self.labels[1:]
+        labels = []
+        node = self._latest
+        while node[_INDEX] > 0:
+            if node[_PARENT_INDEX] != node[_INDEX] - 1:
+                return None
+            labels.append(node[_LABEL])
+            node = node[_PREV]
+        labels.reverse()
+        return tuple(labels)
 
     def __str__(self):
         branch = self.branch_labels()
@@ -144,9 +270,30 @@ class MemoryTree:
         return f"[{pairs}]@{self.distinguished}"
 
 
+_new_object = object.__new__
+_set_latest = MemoryTree._latest.__set__
+_set_node = MemoryTree._node.__set__
+_set_spine = MemoryTree._spine.__set__
+_set_hash = MemoryTree._hash.__set__
+_set_distinguished = MemoryTree.distinguished.__set__
+
+
+def _tree(latest, node, spine, distinguished):
+    tree = _new_object(MemoryTree)
+    _set_latest(tree, latest)
+    _set_node(tree, node)
+    _set_spine(tree, spine)
+    _set_hash(tree, hash((latest[_HASH], distinguished)))
+    _set_distinguished(tree, distinguished)
+    return tree
+
+
+_EMPTY = MemoryTree()
+
+
 def empty_tree() -> MemoryTree:
     """The tree consisting of just the root, which is also distinguished."""
-    return MemoryTree()
+    return _EMPTY
 
 
 def apply(op: StackOp, tree: MemoryTree):
@@ -155,31 +302,37 @@ def apply(op: StackOp, tree: MemoryTree):
     Returns the resulting tree, or UNDEFINED when `tree` lies outside the
     operation's domain.
     """
-    v = tree.distinguished
-    cur = tree.labels[v]
     kind = op.kind
+    node = tree._node
+    if kind == "push":
+        latest = tree._latest
+        index = latest[_INDEX] + 1
+        symbol = op.symbol
+        v = node[_INDEX]
+        # _node(index, symbol, v, node, latest, tree._spine), inlined: push is the hot path
+        h = hash((latest[_HASH], v, symbol))
+        new = (index, symbol, v, node, latest, tree._spine, h)
+        return _tree(new, new, None, index)
     if kind == "stay":
         return tree
-    if kind == "push":
-        return MemoryTree(
-            tree.parents + (v,), tree.labels + (op.symbol,), len(tree.parents)
-        )
-    if kind == "down":
-        if v == 0 or cur != op.symbol:
-            return UNDEFINED
-        return MemoryTree(tree.parents, tree.labels, tree.parents[v])
-    if kind == "up":
-        if cur != op.symbol:
-            return UNDEFINED
-        kids = tree.children(v)
-        if not kids:
-            return UNDEFINED
-        # the latest child is the one with the highest creation index
-        return MemoryTree(tree.parents, tree.labels, max(kids))
-    # pop: only the latest vertex is ever a deletable leaf (and never the root)
-    if v != len(tree.parents) - 1 or v == 0 or cur != op.symbol:
+    if node[_LABEL] != op.symbol:
         return UNDEFINED
-    return MemoryTree(tree.parents[:-1], tree.labels[:-1], tree.parents[v])
+    if kind == "down":
+        parent = node[_PARENT]
+        if parent is None:
+            return UNDEFINED
+        return _tree(tree._latest, parent, (node, tree._spine), parent[_INDEX])
+    if kind == "up":
+        # the head of the spine is the latest child; none means a leaf
+        if tree._spine is None:
+            return UNDEFINED
+        child, rest = tree._spine
+        return _tree(tree._latest, child, rest, child[_INDEX])
+    # pop: only the latest vertex is ever a deletable leaf (and never the root)
+    parent = node[_PARENT]
+    if node is not tree._latest or parent is None:
+        return UNDEFINED
+    return _tree(node[_PREV], parent, node[_SAVED], parent[_INDEX])
 
 
 def apply_word(ops: Iterable[StackOp], tree: MemoryTree):
@@ -211,17 +364,16 @@ def defined_on(op: StackOp, symbol: str, at_leaf: bool) -> bool:
 def validate(tree: MemoryTree) -> List[str]:
     """All invariant violations of `tree`; an empty list means it is valid."""
     out = []
-    n = len(tree.parents)
-    if n == 0 or len(tree.labels) != n:
-        return ["malformed: parents/labels length mismatch or no root"]
-    if tree.parents[0] != -1:
+    parents, labels = tuple(tree.parents), tuple(tree.labels)
+    n = len(parents)
+    if parents[0] != -1:
         out.append("root must have parent -1")
-    if tree.labels[0] != EPSILON:
+    if labels[0] != EPSILON:
         out.append("root must have an empty inedge label")
     for i in range(1, n):
-        if not 0 <= tree.parents[i] < i:
+        if not 0 <= parents[i] < i:
             out.append(f"vertex {i}: parent must be an earlier vertex")
-        if tree.labels[i] == EPSILON:
+        if labels[i] == EPSILON:
             out.append(f"vertex {i}: real edges need a non-empty label")
     if out:
         return out
@@ -229,7 +381,7 @@ def validate(tree: MemoryTree) -> List[str]:
     # creation order must enumerate the vertices as 0, 1, ..., n-1
     children = [[] for _ in range(n)]
     for i in range(1, n):
-        children[tree.parents[i]].append(i)
+        children[parents[i]].append(i)
     order = []
     stack = [0]
     while stack:
@@ -248,8 +400,9 @@ def validate(tree: MemoryTree) -> List[str]:
 def tree_lines(tree: MemoryTree) -> str:
     """Edge-list dump for debugging: one `parent child label` line per edge,
     with `*` flagging the distinguished vertex.  Not a stable wire format."""
-    lines = [f"# {len(tree.parents)} vertices, distinguished {tree.distinguished}"]
-    for i in range(1, len(tree.parents)):
+    parents, labels = tuple(tree.parents), tuple(tree.labels)
+    lines = [f"# {len(parents)} vertices, distinguished {tree.distinguished}"]
+    for i in range(1, len(parents)):
         star = " *" if i == tree.distinguished else ""
-        lines.append(f"{tree.parents[i]} {i} {tree.labels[i]}{star}")
+        lines.append(f"{parents[i]} {i} {labels[i]}{star}")
     return "\n".join(lines)

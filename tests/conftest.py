@@ -76,16 +76,21 @@ def free_group_wp_machine(rank: int = 2) -> Machine:
     )
 
 
-def random_trees(count: int, seed: int, alphabet=("x", "y"), walk_len: int = 40):
-    """Distinct valid memory trees collected from seeded random op walks."""
-    rng = random.Random(seed)
-    ops = (
+def tree_ops(alphabet=("x", "y")):
+    """Every generator over `alphabet`, plus `up` at the root."""
+    return (
         [push(s) for s in alphabet]
         + [pop(s) for s in alphabet]
         + [down(s) for s in alphabet]
         + [up(s) for s in alphabet]
         + [up()]
     )
+
+
+def random_trees(count: int, seed: int, alphabet=("x", "y"), walk_len: int = 40):
+    """Distinct valid memory trees collected from seeded random op walks."""
+    rng = random.Random(seed)
+    ops = tree_ops(alphabet)
     seen = {empty_tree(): None}
     while len(seen) < count:
         t = empty_tree()

@@ -191,3 +191,68 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["accept"])  # missing machine file
     assert exc.value.code == 2
+
+
+# --- robustness: malformed input exits 2 on one line, crashes exit 4 ---------
+
+
+def assert_one_line_error(err):
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_missing_word_file_exits_usage(capsys, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    for command in ("accept", "run", "trace"):
+        code, out, err = run(capsys, command, QUAD, "--word-file", missing)
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+        assert missing in err
+    code, _, err = run(capsys, "cg", "lift", "--machine", QUAD, "--word-file", missing)
+    assert code == 2
+    assert_one_line_error(err)
+
+
+def test_non_utf8_files_exit_usage(capsys, tmp_path):
+    machine = tmp_path / "latin1.nsa"
+    machine.write_bytes("# caf\xe9\nstates: 1\nstart: 1\nfinal: 1\ninput: a\nmemory: x\n".encode("latin-1"))
+    for argv in (["validate", str(machine)], ["accept", str(machine), "--word", "a"],
+                 ["cg", "build", "--machine", str(machine)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+        assert "not UTF-8" in err
+    word = tmp_path / "word.txt"
+    word.write_bytes(b"a \xff b")
+    code, _, err = run(capsys, "accept", QUAD, "--word-file", str(word))
+    assert code == 2
+    assert_one_line_error(err)
+
+
+def test_negative_counts_exit_usage(capsys):
+    for argv in (
+        ["cg", "build", "--machine", QUAD, "--horizon", "-1"],
+        ["pda", "quotient", "--machine", ANBN, "--horizon", "-3"],
+        ["accept", QUAD, "--word", "abcd", "--max-tree-edges", "-1"],
+        ["enumerate", QUAD, "--max-len", "-2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+        assert "must be non-negative" in err
+    code, out, _ = run(capsys, "cg", "build", "--machine", QUAD, "--horizon", "0")
+    assert code == 0 and out.startswith("1 configurations")
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch):
+    import nestedstack.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("line one\nline two")
+
+    monkeypatch.setattr(cli, "accepts", boom)
+    code, out, err = run(capsys, "accept", QUAD, "--word", "abcd")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.strip() == "internal error: RuntimeError: line one line two"
