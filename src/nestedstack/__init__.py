@@ -30,12 +30,14 @@ from .machine import (
     accepts,
     check_deterministic,
     check_limited_erasing,
+    deterministic_run,
     enumerate_accepted,
     format_machine,
     parse_machine,
     parse_word,
     run_trace,
     step,
+    successors,
 )
 from .hom import (
     Homomorphism,
@@ -44,6 +46,7 @@ from .hom import (
     preimage,
     preimage_expansion,
     preimage_letter_map,
+    publish_reserved_names,
 )
 from .config_graph import (
     BuildHorizon,

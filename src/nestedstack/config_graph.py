@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from .graphs import weighted_path_bound
-from .machine import Machine, NondeterminismDetected, ResourceCaps
-from .memory_tree import EPSILON, UNDEFINED, MemoryTree, apply, empty_tree
+from .machine import Machine, ResourceCaps, deterministic_run, successors
+from .memory_tree import EPSILON, MemoryTree, empty_tree
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,6 @@ class ConfigGraph:
     horizon: BuildHorizon
     truncated: bool
 
-    def out_edges(self, config: Configuration):
-        return [e for e in self.edges if e[0] == config]
-
     def is_coaccessible_within_horizon(self, config: Configuration) -> bool:
         return config in self.coaccessible
 
@@ -97,7 +94,6 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
     co-accessibility is backward reachability from explored accepting
     configurations, restricted to the explored graph."""
     initial = Configuration(machine.initial, empty_tree())
-    out_index = machine.out_index()
     discovery: Dict[Configuration, Optional[Tuple[Configuration, str]]] = {initial: None}
     depth = {initial: 0}
     vertices = [initial]
@@ -111,10 +107,7 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
         if horizon.max_depth is not None and depth[cfg] >= horizon.max_depth:
             truncated = True
             continue
-        for e in out_index[cfg.state]:
-            t2 = apply(e.op, cfg.tree)
-            if t2 is UNDEFINED:
-                continue
+        for e, t2 in successors(machine, cfg.state, cfg.tree, None):
             if t2.edge_count > horizon.max_tree_edges:
                 truncated = True
                 continue
@@ -283,37 +276,21 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
     """The unique path of a deterministic machine from the initial
     configuration whose non-silent labels spell `word`, with forced silent
     moves interleaved.  The lift stops right after the last letter, before
-    any trailing silent run."""
+    any trailing silent run.  Raises NondeterminismDetected if two
+    continuations apply."""
     word = tuple(word)
-    out_index = machine.out_index()
-    cfg = Configuration(machine.initial, empty_tree())
-    configs = [cfg]
+    configs = [Configuration(machine.initial, empty_tree())]
     labels: List[str] = []
     pos = 0
-    steps = 0
+    run = deterministic_run(machine, word, caps.max_tree_edges)
     while pos < len(word):
-        letter = word[pos]
-        applicable = []
-        for e in out_index[cfg.state]:
-            if e.letter not in (EPSILON, letter):
-                continue
-            t2 = apply(e.op, cfg.tree)
-            if t2 is not UNDEFINED:
-                applicable.append((e, t2))
-        if not applicable:
+        step = next(run, None)
+        if step is None:
             return LiftResult("stuck", configs, labels, pos, stuck_at=pos)
-        if len(applicable) > 1:
-            raise NondeterminismDetected(
-                f"at {cfg}: edges {applicable[0][0]} and {applicable[1][0]} both apply"
-            )
-        e, t2 = applicable[0]
-        cfg = Configuration(e.dst, t2)
-        configs.append(cfg)
+        e, tree, pos = step
+        configs.append(Configuration(e.dst, tree))
         labels.append(e.letter)
-        if e.letter != EPSILON:
-            pos += 1
-        steps += 1
-        if steps > caps.max_steps or t2.edge_count > caps.max_tree_edges:
+        if len(labels) > caps.max_steps or tree.edge_count > caps.max_tree_edges:
             return LiftResult("cap_exceeded", configs, labels, pos)
     return LiftResult("ok", configs, labels, pos)
 

@@ -339,7 +339,10 @@ def make_oracle(spec: str, read_file=None) -> GroupOracle:
             return DirectProduct(left, right), nxt
         raise ValueError(f"unknown group family {head!r}")
 
-    oracle, end = parse(0)
+    try:
+        oracle, end = parse(0)
+    except RecursionError:
+        raise ValueError("group spec nested too deeply") from None
     if end != len(tokens):
         raise ValueError(f"trailing tokens in group spec: {tokens[end:]}")
     return oracle
@@ -367,14 +370,6 @@ class CayleyWindow:
     @property
     def boundary(self) -> Set[object]:
         return {v for v, d in self.dist.items() if d == self.radius}
-
-    def labeled_edges(self, v) -> List[Tuple[object, str]]:
-        return [
-            (w, letter)
-            for letter in self.oracle.generators
-            for w in (self.oracle.mult(v, letter),)
-            if w in self.dist
-        ]
 
     def neighbors(self, v) -> List[object]:
         # memoized: separator searches scan the window many times
@@ -723,8 +718,8 @@ def qi_check(
 ) -> List[QIViolation]:
     """Check the two-sided distortion inequality on every sample pair, and
     (optionally) that k-balls around the images cover the target window."""
-    if k <= 0:
-        raise ValueError("the quasi-isometry constant must be positive")
+    if not 0 < k < float("inf"):
+        raise ValueError("the quasi-isometry constant must be positive and finite")
     samples = [(tuple(x), tuple(y)) for x, y in samples]
     violations: List[QIViolation] = []
     for i in range(len(samples)):
@@ -755,6 +750,8 @@ def qi_check(
         frontier = set(images) & set(window.dist)
         covered = set(frontier)
         for _ in range(int(k)):
+            if not frontier:
+                break
             nxt = set()
             for g in frontier:
                 for h in window.neighbors(g):

@@ -12,7 +12,7 @@ capture names from user files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
 from .machine import Edge, Machine, MachineParseError
@@ -266,3 +266,52 @@ def preimage(machine: Machine, f: Homomorphism) -> Machine:
         markers += 1
     assert set(result.input_alphabet) == set(f.source_alphabet)
     return result
+
+
+def publish_reserved_names(machine: Machine) -> Machine:
+    """Rename reserved `__` memory symbols and state ids to parser-legal
+    fresh names so the emitted file can be loaded again.  Relabeling the
+    memory alphabet or the state set never changes the accepted language."""
+    def fresh_names(reserved, taken):
+        renames = {}
+        for name in sorted(reserved):
+            base = name.strip("_") or "gen"
+            candidate = base
+            n = 0
+            while candidate in taken or candidate == "eps" or candidate.startswith("__"):
+                n += 1
+                candidate = f"{base}{n}"
+            renames[name] = candidate
+            taken.add(candidate)
+        return renames
+
+    symbol_renames = fresh_names(
+        [s for s in machine.memory_alphabet if s.startswith("__")],
+        set(machine.memory_alphabet),
+    )
+    state_renames = fresh_names(
+        [q for q in machine.states if q.startswith("__")], set(machine.states)
+    )
+    if not symbol_renames and not state_renames:
+        return machine
+
+    def state(q):
+        return state_renames.get(q, q)
+
+    new_edges = tuple(
+        replace(
+            e,
+            src=state(e.src),
+            dst=state(e.dst),
+            op=replace(e.op, symbol=symbol_renames.get(e.op.symbol, e.op.symbol)),
+        )
+        for e in machine.edges
+    )
+    return replace(
+        machine,
+        states=tuple(state(q) for q in machine.states),
+        initial=state(machine.initial),
+        finals=frozenset(state(q) for q in machine.finals),
+        memory_alphabet=frozenset(symbol_renames.get(s, s) for s in machine.memory_alphabet),
+        edges=new_edges,
+    )

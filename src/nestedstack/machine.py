@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from functools import cached_property
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .graphs import weighted_path_bound
 from .memory_tree import (
@@ -83,14 +85,21 @@ class Machine:
             if e.letter != EPSILON and e.letter not in self.input_alphabet:
                 raise MachineError(f"edge uses undeclared input letter {e.letter!r}")
 
-    def edges_from(self, state: str) -> List[Edge]:
-        return [e for e in self.edges if e.src == state]
-
-    def out_index(self) -> Dict[str, List[Edge]]:
-        index: Dict[str, List[Edge]] = {q: [] for q in self.states}
+    @cached_property
+    def moves(self) -> Dict[str, Dict[Optional[str], Tuple[Edge, ...]]]:
+        """Outedges by state and then by input letter, in machine edge order:
+        row[a] holds the edges reading `a` and the silent ones, row[EPSILON]
+        the silent ones alone and row[None] all of them."""
+        outs: Dict[str, List[Edge]] = {q: [] for q in self.states}
         for e in self.edges:
-            index[e.src].append(e)
-        return index
+            outs[e.src].append(e)
+        table = {}
+        for q, edges in outs.items():
+            letters = {e.letter for e in edges} | {EPSILON}
+            row = {a: tuple(e for e in edges if e.letter in (a, EPSILON)) for a in letters}
+            row[None] = tuple(edges)
+            table[q] = row
+        return table
 
 
 # --- machine file format -----------------------------------------------
@@ -278,16 +287,26 @@ class AcceptResult:
     caps_hit: Tuple[str, ...] = ()
 
 
+def successors(
+    machine: Machine, state: str, tree: MemoryTree, letter: Optional[str]
+) -> List[Tuple[Edge, MemoryTree]]:
+    """The one-step successor relation: `(edge, tree')` for every outedge of
+    `state` that reads `letter` or is silent (every outedge when `letter` is
+    None) and whose operation is defined on `tree`, in machine edge order.
+    A letter that no outedge reads selects the silent edges alone."""
+    row = machine.moves[state]
+    out = []
+    for e in row.get(letter, row[EPSILON]):
+        t2 = apply(e.op, tree)
+        if t2 is not UNDEFINED:
+            out.append((e, t2))
+    return out
+
+
 def step(machine: Machine, state: str, tree: MemoryTree, letter: str):
     """All one-edge successors of (state, tree) whose input component equals
     `letter` and whose operation is defined on `tree`."""
-    out = set()
-    for e in machine.edges:
-        if e.src == state and e.letter == letter:
-            t2 = apply(e.op, tree)
-            if t2 is not UNDEFINED:
-                out.add((e.dst, t2))
-    return out
+    return {(e.dst, t2) for e, t2 in successors(machine, state, tree, letter) if e.letter == letter}
 
 
 def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> AcceptResult:
@@ -299,7 +318,6 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
     the caps that fired.
     """
     word = tuple(word)
-    out_index = machine.out_index()
     start = (machine.initial, empty_tree(), 0)
     parent: Dict[tuple, Optional[Tuple[tuple, Edge]]] = {start: None}
     queue = deque([start])
@@ -323,20 +341,12 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
         if steps > caps.max_steps:
             hit("max_steps")
             break
-        for e in out_index[state]:
-            if e.letter == EPSILON:
-                new_pos = pos
-            elif pos < len(word) and e.letter == word[pos]:
-                new_pos = pos + 1
-            else:
-                continue
-            t2 = apply(e.op, tree)
-            if t2 is UNDEFINED:
-                continue
+        letter = word[pos] if pos < len(word) else EPSILON
+        for e, t2 in successors(machine, state, tree, letter):
             if t2.edge_count > caps.max_tree_edges:
                 hit("max_tree_edges")
                 continue
-            nxt = (e.dst, t2, new_pos)
+            nxt = (e.dst, t2, pos if e.letter == EPSILON else pos + 1)
             if nxt not in parent:
                 parent[nxt] = (cfg, e)
                 queue.append(nxt)
@@ -367,7 +377,6 @@ def enumerate_accepted(
     Searches (state, tree, consumed word) triples; skipping consuming edges
     at the length bound is sound, but any resource cap firing escalates,
     because a pruned search could miss members."""
-    out_index = machine.out_index()
     start = (machine.initial, empty_tree(), ())
     seen = {start}
     queue = deque([start])
@@ -382,19 +391,11 @@ def enumerate_accepted(
         steps += 1
         if steps > caps.max_steps:
             raise EnumerationCapExceeded("max_steps")
-        for e in out_index[state]:
-            if e.letter == EPSILON:
-                new_word = word
-            elif len(word) < max_len:
-                new_word = word + (e.letter,)
-            else:
-                continue
-            t2 = apply(e.op, tree)
-            if t2 is UNDEFINED:
-                continue
+        letter = None if len(word) < max_len else EPSILON
+        for e, t2 in successors(machine, state, tree, letter):
             if t2.edge_count > caps.max_tree_edges:
                 raise EnumerationCapExceeded("max_tree_edges")
-            nxt = (e.dst, t2, new_word)
+            nxt = (e.dst, t2, word if e.letter == EPSILON else word + (e.letter,))
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -425,7 +426,7 @@ def check_deterministic(machine: Machine) -> Optional[DeterminismConflict]:
     those combinations over the machine's finite memory alphabet."""
     symbols = sorted(machine.memory_alphabet) + [EPSILON]
     for state in machine.states:
-        outs = machine.edges_from(state)
+        outs = machine.moves[state][None]
         for i, e1 in enumerate(outs):
             for e2 in outs[i + 1 :]:
                 if e1.letter != e2.letter and EPSILON not in (e1.letter, e2.letter):
@@ -482,44 +483,59 @@ class Trace:
     final_state: str
     final_tree: MemoryTree
     accepted_at: Tuple[int, ...]  # step counts after which (final, empty, done)
-    stopped: str  # "halted" or "max_steps"
+    stopped: str  # "halted", "max_steps" or "max_tree_edges"
 
 
-def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> Trace:
-    """The unique maximal computation of a deterministic machine consuming a
-    prefix of `word`, as a step-by-step listing.
+def deterministic_run(
+    machine: Machine, word: Iterable[str], max_tree_edges: int
+) -> Iterator[Tuple[Edge, MemoryTree, int]]:
+    """The unique maximal computation of a deterministic machine reading a
+    prefix of `word`, one step at a time: each step is the edge taken, the
+    tree after it and the number of letters consumed so far.  Silent edges
+    fire anywhere; a consuming edge fires on the next unread letter.  The
+    run ends when no edge applies, or right after the first step whose tree
+    has more than `max_tree_edges` edges.
 
     Raises NondeterminismDetected if two continuations ever apply."""
     word = tuple(word)
-    out_index = machine.out_index()
     state, tree, pos = machine.initial, empty_tree(), 0
-    steps: List[TraceStep] = []
-    accepted_at: List[int] = []
-    stopped = "halted"
     while True:
-        if pos == len(word) and state in machine.finals and tree == empty_tree():
-            accepted_at.append(len(steps))
-        if len(steps) >= caps.max_steps:
-            stopped = "max_steps"
-            break
-        applicable: List[Tuple[Edge, MemoryTree]] = []
-        for e in out_index[state]:
-            if e.letter != EPSILON and not (pos < len(word) and e.letter == word[pos]):
-                continue
-            t2 = apply(e.op, tree)
-            if t2 is not UNDEFINED:
-                applicable.append((e, t2))
+        applicable = successors(machine, state, tree, word[pos] if pos < len(word) else EPSILON)
         if not applicable:
-            break
+            return
         if len(applicable) > 1:
             raise NondeterminismDetected(
                 f"state {state}, tree {tree}: edges {applicable[0][0]} and {applicable[1][0]} both apply"
             )
-        e, tree = applicable[0]
+        (e, tree), = applicable
         state = e.dst
         if e.letter != EPSILON:
             pos += 1
+        yield e, tree, pos
+        if tree.edge_count > max_tree_edges:
+            return
+
+
+def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> Trace:
+    """The deterministic run on `word` (see `deterministic_run`) as a
+    step-by-step listing of at most `caps.max_steps` steps; `stopped` names
+    the cap that ended it, if any."""
+    word = tuple(word)
+    empty = empty_tree()
+    state, tree, pos = machine.initial, empty, 0
+    steps: List[TraceStep] = []
+    accepted_at = [0] if not word and state in machine.finals else []
+    for e, tree, pos in islice(deterministic_run(machine, word, caps.max_tree_edges), caps.max_steps):
+        state = e.dst
         steps.append(TraceStep(e, tree, pos))
+        if pos == len(word) and state in machine.finals and tree == empty:
+            accepted_at.append(len(steps))
+    if tree.edge_count > caps.max_tree_edges:
+        stopped = "max_tree_edges"
+    elif len(steps) == caps.max_steps:
+        stopped = "max_steps"
+    else:
+        stopped = "halted"
     return Trace(
         word=word,
         steps=tuple(steps),

@@ -105,9 +105,6 @@ class QuotientGraph:
     edges: Set[Tuple[int, int]]  # unordered, stored as (i, j) with i < j
     class_diameters: List[int]
 
-    def class_tree(self, i: int) -> MemoryTree:
-        return self.classes[i][0].tree
-
 
 def quotient(cg: ConfigGraph, classes: List[List[Configuration]]) -> QuotientGraph:
     """Simple unoriented graph on the classes: distinct classes are joined

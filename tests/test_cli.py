@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from nestedstack.cli import main
+from nestedstack.cli import COMMANDS, main
 from nestedstack.machine import format_machine, parse_machine
 
 from conftest import FIXTURES, load_machine
+
+ROOT = FIXTURES.parent
 
 QUAD = str(FIXTURES / "anbncndn.nsa")
 ANBN = str(FIXTURES / "anbn.nsa")
@@ -256,3 +261,83 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     assert out == ""
     assert_one_line_error(err)
     assert err.strip() == "internal error: RuntimeError: line one line two"
+
+
+def test_trace_tree_cap_exits_capped(capsys):
+    argv = ["trace", QUAD, "--word", "aaaabbbbccccdddd", "--max-tree-edges", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.splitlines()[1].startswith("  2. 2 -(push x, a)-> 2")
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 3 and payload["stopped"] == "max_tree_edges" and len(payload["steps"]) == 2
+
+
+def test_deeply_nested_group_spec_exits_usage(capsys):
+    spec = "product free 0 " * 1000 + "free 0"
+    code, out, err = run(capsys, "group", "ball", "--group", spec, "--radius", "1")
+    assert code == 2 and out == ""
+    assert_one_line_error(err)
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("k,expected", [("inf", 2), ("nan", 2), ("-inf", 2), ("1e308", 0)])
+def test_qi_extreme_constants_end_quickly(tmp_path, k, expected):
+    """A fresh interpreter, so that a density loop that never ends fails the
+    test by its timeout instead of hanging the suite."""
+    samples = tmp_path / "samples.txt"
+    samples.write_text("a -> aa\naa -> aaaa\n -> \n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedstack.cli", "group", "qi", "--group", "abelian 1",
+         "--target", "abelian 1", f"--k={k}", "--samples", str(samples), "--window", "1"],
+        capture_output=True, text=True, timeout=30, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == expected
+    if expected == 2:
+        assert proc.stdout == ""
+        assert_one_line_error(proc.stderr)
+        assert "positive and finite" in proc.stderr
+    else:
+        assert "0 violations" in proc.stdout
+
+
+# The arguments each command of the table needs besides its input.
+REQUIRED = {
+    ("validate",): [],
+    ("accept",): ["--word", "ab"],
+    ("run",): ["--word", "ab"],
+    ("enumerate",): ["--max-len", "2"],
+    ("check-det",): [],
+    ("check-erasing",): [],
+    ("trace",): ["--word", "ab"],
+    ("preimage",): ["--hom", str(FIXTURES / "block4.hom")],
+    ("cg", "build"): [],
+    ("cg", "dot"): [],
+    ("cg", "lift"): ["--word", "ab"],
+    ("cg", "project"): ["--group", "abelian 2"],
+    ("pda", "quotient"): [],
+    ("group", "ball"): ["--radius", "1"],
+    ("group", "separator"): ["--radius", "1", "--window", "4", "--centers", "", "aaa"],
+    ("group", "probe"): ["--radius", "1", "--centers", "aaa"],
+    ("group", "ends"): ["--radius", "1", "--window", "3"],
+    ("group", "qi"): ["--target", "abelian 1", "--k", "2", "--samples", str(FIXTURES / "double.qi")],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[" ".join(c.path) for c in COMMANDS])
+def test_missing_input_file_exits_usage(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing")
+    source = {
+        "machine": [missing],
+        "--machine": ["--machine", missing],
+        "--group": ["--group", f"finite {missing}"],
+    }[command.source]
+    code, out, err = run(capsys, *command.path, *source, *REQUIRED[command.path])
+    assert code == 2 and out == ""
+    assert_one_line_error(err)
+    assert missing in err
+
+
+def test_command_table_covers_the_parser():
+    assert set(REQUIRED) == {c.path for c in COMMANDS}

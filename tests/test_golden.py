@@ -1,5 +1,5 @@
-"""Golden CLI outputs: stdout of the tree-printing commands on the fixtures,
-byte for byte, in text and --json form.
+"""Golden CLI outputs: stdout and exit code of every `nsa` command on the
+fixtures, byte for byte, in text and --json form, usage errors included.
 
 Memory trees reach stdout through `MemoryTree.__str__` (trace and run
 listings) and `vertex_name` (DOT, lifts), so any change to the tree
@@ -30,12 +30,16 @@ ANBN = "fixtures/anbn.nsa"
 DYCK = "fixtures/dyck2.nsa"
 XY = "fixtures/xyblock.nsa"
 Z = "fixtures/zcount.nsa"
+POP = "fixtures/popcycle.nsa"
+QI = "fixtures/double.qi"
+MISSING = "fixtures/missing.nsa"
 
 _BASE = [
     ("trace_quad_abcd", ["trace", QUAD, "--word", "abcd"]),
     ("trace_quad_aabbccdd", ["trace", QUAD, "--word", "aabbccddabcd"]),
     ("trace_quad_partial", ["trace", QUAD, "--word", "aaabbbcc"]),
     ("trace_quad_capped", ["trace", QUAD, "--word", "aabbccdd", "--max-steps", "4"]),
+    ("trace_quad_tree_capped", ["trace", QUAD, "--word", "aaaabbbbccccdddd", "--max-tree-edges", "1"]),
     ("trace_zcount", ["trace", Z, "--word", "aAAAaaaA"]),
     ("trace_xyblock", ["trace", XY, "--word", "pppqqq"]),
     ("trace_dyck2", ["trace", DYCK, "--word", "acdbab"]),
@@ -65,6 +69,58 @@ _BASE = [
     ("pda_quotient_dyck2", ["pda", "quotient", "--machine", DYCK, "--horizon", "3"]),
     ("pda_quotient_xyblock", ["pda", "quotient", "--machine", XY, "--horizon", "5"]),
     ("pda_quotient_quad", ["pda", "quotient", "--machine", QUAD, "--horizon", "4"]),
+    ("validate_quad", ["validate", QUAD]),
+    ("accept_quad", ["accept", QUAD, "--word", "abcd"]),
+    ("accept_quad_rejected", ["accept", QUAD, "--word", "abc"]),
+    ("accept_quad_capped", ["accept", QUAD, "--word", "aabbccdd", "--max-steps", "5"]),
+    ("enumerate_quad", ["enumerate", QUAD, "--max-len", "8"]),
+    ("enumerate_anbn", ["enumerate", ANBN, "--max-len", "6"]),
+    ("enumerate_quad_capped", ["enumerate", QUAD, "--max-len", "8", "--max-steps", "10"]),
+    ("check_det_quad", ["check-det", QUAD]),
+    ("check_det_popcycle", ["check-det", POP]),
+    ("check_erasing_quad", ["check-erasing", QUAD]),
+    ("check_erasing_popcycle", ["check-erasing", POP]),
+    ("trace_popcycle_nondet", ["trace", POP, "--word", "aa"]),
+    ("preimage_quad_block4", ["preimage", QUAD, "--hom", "fixtures/block4.hom"]),
+    ("cg_project_zcount", ["cg", "project", "--machine", Z, "--group", "abelian 1", "--horizon", "6"]),
+    ("cg_project_anbn_inconsistent", ["cg", "project", "--machine", ANBN, "--group", "abelian 2", "--horizon", "6"]),
+    ("group_ball_free2", ["group", "ball", "--group", "free 2", "--radius", "2"]),
+    ("group_separator_free2", ["group", "separator", "--group", "free 2", "--radius", "1", "--window", "5",
+                               "--centers", "", "aaaa"]),
+    ("group_probe_abelian2", ["group", "probe", "--group", "abelian 2", "--radius", "1", "2",
+                              "--centers", "aaaaaa"]),
+    ("group_ends_abelian1", ["group", "ends", "--group", "abelian 1", "--radius", "3", "--window", "10"]),
+    ("group_qi_double", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2",
+                         "--samples", QI]),
+    ("group_qi_double_density", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2",
+                                 "--samples", QI, "--window", "3"]),
+    ("group_qi_double_k1", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "1",
+                            "--samples", QI]),
+    # usage errors: nothing on stdout, exit 2
+    ("usage_validate_missing", ["validate", MISSING]),
+    ("usage_validate_parse", ["validate", "fixtures/block4.hom"]),
+    ("usage_accept_word_file", ["accept", QUAD, "--word-file", "fixtures/missing.txt"]),
+    ("usage_trace_missing", ["trace", MISSING, "--word", "ab"]),
+    ("usage_enumerate_negative", ["enumerate", QUAD, "--max-len", "-1"]),
+    ("usage_preimage_missing_hom", ["preimage", QUAD, "--hom", "fixtures/missing.hom"]),
+    ("usage_preimage_letters", ["preimage", ANBN, "--hom", "fixtures/block4.hom"]),
+    ("usage_cg_build_missing", ["cg", "build", "--machine", MISSING]),
+    ("usage_cg_build_negative", ["cg", "build", "--machine", QUAD, "--horizon", "-1"]),
+    ("usage_cg_lift_nondet", ["cg", "lift", "--machine", POP, "--word", "a"]),
+    ("usage_cg_project_letters", ["cg", "project", "--machine", DYCK, "--group", "free 2", "--horizon", "2"]),
+    ("usage_cg_project_spec", ["cg", "project", "--machine", Z, "--group", "bogus 1"]),
+    ("usage_pda_quotient_missing", ["pda", "quotient", "--machine", MISSING]),
+    ("usage_group_ball_spec", ["group", "ball", "--group", "bogus", "--radius", "1"]),
+    ("usage_group_ball_radius", ["group", "ball", "--group", "free 2", "--radius", "-1"]),
+    ("usage_group_separator_spec", ["group", "separator", "--group", "free", "--radius", "1", "--window", "3",
+                                    "--centers", "", "a"]),
+    ("usage_group_probe_spec", ["group", "probe", "--group", "product free 1", "--radius", "1",
+                                "--centers", "a"]),
+    ("usage_group_ends_spec", ["group", "ends", "--group", "abelian x", "--radius", "1", "--window", "3"]),
+    ("usage_group_qi_k", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "0",
+                          "--samples", QI]),
+    ("usage_group_qi_samples", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2",
+                                "--samples", "fixtures/missing.qi"]),
 ]
 
 CASES = _BASE + [(name + "_json", argv + ["--json"]) for name, argv in _BASE]

@@ -295,3 +295,18 @@ def test_qi_density_window(line):
     assert qi_check(line, line, dense, 1, density_window=3) == []
     gaps = [v for v in qi_check(line, line, sparse, 1, density_window=4) if v.kind == "density"]
     assert gaps
+
+
+def test_make_oracle_rejects_deep_nesting():
+    spec = "product free 0 " * 1000 + "free 0"
+    with pytest.raises(ValueError, match="nested too deeply"):
+        make_oracle(spec)
+    shallow = make_oracle("product free 0 " * 50 + "free 1")
+    assert shallow.generators == ("a", "A")
+
+
+@pytest.mark.parametrize("k", [float("inf"), float("nan"), -float("inf"), 0.0])
+def test_qi_rejects_non_finite_or_non_positive_k(line, k):
+    with pytest.raises(ValueError, match="positive and finite"):
+        qi_check(line, line, [((), ())], k, density_window=1)
+

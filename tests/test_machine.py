@@ -395,3 +395,17 @@ def test_quad_traces_pop_at_most_once_between_letters(quad):
                 silent_pops += 1
                 worst = max(worst, silent_pops)
         assert worst <= 1
+
+
+def test_trace_tree_cap_lists_the_crossing_step(quad):
+    trace = run_trace(quad, "aaaabbbbccccdddd", ResourceCaps(max_tree_edges=1))
+    assert trace.stopped == "max_tree_edges"
+    assert len(trace.steps) == 2  # push y (1 edge), then push x crosses the cap
+    assert trace.steps[-1].tree.edge_count == 2
+    assert trace.final_tree.edge_count == 2
+    assert trace.consumed == 1
+    assert trace.accepted_at == ()
+
+
+def test_trace_tree_cap_not_hit_by_small_trees(quad):
+    assert run_trace(quad, "abcd", ResourceCaps(max_tree_edges=2)).stopped == "halted"
