@@ -41,11 +41,8 @@ from .machine import (
 )
 from .hom import (
     Homomorphism,
-    factor,
     parse_homomorphism,
     preimage,
-    preimage_expansion,
-    preimage_letter_map,
     publish_reserved_names,
 )
 from .config_graph import (

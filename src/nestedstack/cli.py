@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -29,6 +30,7 @@ from .machine import (
     CAP_EXCEEDED,
     REJECTED,
     EnumerationCapExceeded,
+    MachineParseError,
     NondeterminismDetected,
     ResourceCaps,
     accepts,
@@ -80,9 +82,11 @@ def _read(path: str, parse):
             return parse(fh.read())
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except MachineParseError as exc:
+        where = f"{path}:{exc.line_no}" if exc.line_no else path
+        raise _UsageError(f"{where}: {exc.message}") from None
     except (OSError, ValueError) as exc:
-        line = getattr(exc, "line_no", None)
-        raise _UsageError(f"{path}:{line}: {exc}" if line else f"{path}: {exc}") from None
+        raise _UsageError(f"{path}: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -116,13 +120,20 @@ def _horizon(args) -> cgmod.BuildHorizon:
 
 def _emit(args, payload: Optional[dict], text_lines: List[str]) -> None:
     """The payload as JSON under --json; otherwise, or when the command has
-    no JSON form (payload None), the text lines."""
-    if args.json and payload is not None:
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    no JSON form (payload None), the text lines.  A reader that closes
+    stdout early (`nsa ... | head -1`) is not a failure: the answer was
+    computed, so the rest of the output is dropped."""
+    try:
+        if args.json and payload is not None:
+            payload = {"schema": SCHEMA, **payload}
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in text_lines:
+                print(line)
+    except BrokenPipeError:
+        # the null device takes what is still buffered, so that the flush
+        # at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _read_word(args) -> Tuple[str, ...]:
@@ -222,8 +233,9 @@ def cmd_trace(args, machine):
         )
     if 0 in trace.accepted_at:
         lines.insert(0, "  0. (initial configuration) *accept*")
+    end = "halted" if trace.stopped == "halted" else f"stopped by {trace.stopped}"
     lines.append(
-        f"halted at state {trace.final_state}, tree {trace.final_tree}, "
+        f"{end} at state {trace.final_state}, tree {trace.final_tree}, "
         f"consumed {trace.consumed}/{len(word)} letters"
     )
     payload = {
@@ -462,7 +474,7 @@ def _parse_samples(text: str) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
         if not line:
             continue
         if "->" not in line:
-            raise ValueError(f"line {line_no}: expected 'WORD -> WORD'")
+            raise MachineParseError(line_no, "expected 'WORD -> WORD'")
         left, _, right = line.partition("->")
         samples.append((parse_word(left.strip()), parse_word(right.strip())))
     return samples

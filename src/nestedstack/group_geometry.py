@@ -721,6 +721,9 @@ def qi_check(
     if not 0 < k < float("inf"):
         raise ValueError("the quasi-isometry constant must be positive and finite")
     samples = [(tuple(x), tuple(y)) for x, y in samples]
+    for x, y in samples:  # a letter that is not a generator raises ValueError
+        source.canonical(x)
+        target.canonical(y)
     violations: List[QIViolation] = []
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):

@@ -80,6 +80,22 @@ def test_parse_error_exit_code_and_diagnostic(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert f"{bad}:6" in err and "z" in err
+    assert err == f"{bad}:6: undeclared memory symbol 'z'\n"
+
+
+def test_parse_errors_name_the_line_once(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, "validate", "fixtures/block4.hom")
+    assert (code, out, err) == (2, "", "fixtures/block4.hom:2: unknown section 'map'\n")
+    empty = tmp_path / "empty.hom"
+    empty.write_text("# no maps\n")
+    code, out, err = run(capsys, "preimage", QUAD, "--hom", str(empty))
+    assert (code, out, err) == (2, "", f"{empty}: no map lines found\n")
+    samples = tmp_path / "bad.qi"
+    samples.write_text("a -> aa\nb\n")
+    code, out, err = run(capsys, "group", "qi", "--group", "abelian 1", "--target", "abelian 1",
+                         "--k", "2", "--samples", str(samples))
+    assert (code, out, err) == (2, "", f"{samples}:2: expected 'WORD -> WORD'\n")
 
 
 def test_trace_marks_accept(capsys):
@@ -100,6 +116,22 @@ def test_preimage_output_reloadable(capsys, tmp_path):
     machine = parse_machine(out_path.read_text())
     # generated marker symbols were renamed out of the reserved namespace
     assert all(not s.startswith("__") for s in machine.memory_alphabet)
+    assert all(not q.startswith("__") for q in machine.states)
+
+
+def test_block4_preimage_stays_deterministic(capsys, tmp_path):
+    out_path = str(tmp_path / "block4.nsa")
+    code, out, _ = run(capsys, "preimage", QUAD, "--hom", str(FIXTURES / "block4.hom"), "-o", out_path)
+    assert code == 0 and out == f"wrote {out_path}: 16 states, 19 edges\n"
+    code, out, _ = run(capsys, "check-det", out_path)
+    assert code == 0 and out == "deterministic\n"
+    code, out, _ = run(capsys, "check-erasing", out_path)
+    assert code == 0 and out.startswith("bounded, k = ")
+    code, out, _ = run(capsys, "cg", "lift", "--machine", out_path, "--word", "ppp")
+    assert code == 0 and out.splitlines()[-1] == "status: ok"
+    code, out, _ = run(capsys, "trace", out_path, "--word", "pp")
+    assert code == 0 and "*accept*" in out
+    assert out.splitlines()[-1].startswith("halted at state ")
 
 
 def test_cg_build_and_dot_reproducible(capsys):
@@ -271,6 +303,43 @@ def test_trace_tree_cap_exits_capped(capsys):
     code, out, _ = run(capsys, *argv, "--json")
     payload = json.loads(out)
     assert code == 3 and payload["stopped"] == "max_tree_edges" and len(payload["steps"]) == 2
+
+
+@pytest.mark.parametrize("cap,value", [("--max-steps", "4"), ("--max-tree-edges", "1")])
+def test_capped_trace_says_which_cap_stopped_it(capsys, cap, value):
+    code, out, _ = run(capsys, "trace", QUAD, "--word", "aabbccdd", cap, value)
+    last = out.splitlines()[-1]
+    assert code == 3
+    assert last.startswith(f"stopped by {cap[2:].replace('-', '_')} at state ")
+    assert last.endswith("letters") and "consumed " in last
+
+
+def test_qi_sample_letters_must_be_generators(capsys, tmp_path):
+    samples = tmp_path / "letters.qi"
+    for line in ("p -> a", "a -> x", "1 -> aa"):
+        samples.write_text(f"a -> aa\n{line}\n")
+        code, out, err = run(capsys, "group", "qi", "--group", "abelian 1", "--target", "abelian 1",
+                             "--k", "2", "--samples", str(samples))
+        assert code == 2 and out == ""
+        assert_one_line_error(err)
+        assert "is not a generator of abelian(1)" in err
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    """The output is larger than a pipe holds, so the writer is still
+    writing when the reader closes its end after one line."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nestedstack.cli", "cg", "dot", "--machine", QUAD, "--horizon", "48"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=30) == 0
+    assert first == b"digraph config_graph {\n"
+    assert err == b""
 
 
 def test_deeply_nested_group_spec_exits_usage(capsys):

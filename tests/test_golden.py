@@ -121,6 +121,8 @@ _BASE = [
                           "--samples", QI]),
     ("usage_group_qi_samples", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2",
                                 "--samples", "fixtures/missing.qi"]),
+    ("usage_group_qi_sample_letters", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1",
+                                       "--k", "2", "--samples", "fixtures/block4.hom"]),
 ]
 
 CASES = _BASE + [(name + "_json", argv + ["--json"]) for name, argv in _BASE]

@@ -3,25 +3,30 @@ import random
 
 import pytest
 
-from nestedstack.hom import (
-    EXPANSION_FINAL,
-    Homomorphism,
-    copy_state,
-    factor,
-    parse_homomorphism,
-    preimage,
-    preimage_expansion,
-    preimage_letter_map,
-)
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from nestedstack.hom import Homomorphism, parse_homomorphism, preimage
 from nestedstack.machine import (
     ACCEPTED,
+    REJECTED,
     accepts,
     check_deterministic,
     check_limited_erasing,
     enumerate_accepted,
 )
 
-from conftest import FIXTURES
+import factor_preimage as old
+from conftest import FIXTURES, load_machine
+from factor_preimage import (
+    EXPANSION_FINAL,
+    copy_state,
+    expansion_triple,
+    factor,
+    is_letter_to_letter,
+    preimage_expansion,
+    preimage_letter_map,
+)
 
 
 def hom(name):
@@ -58,23 +63,26 @@ def test_empty_image_rejected():
         Homomorphism({"a": ()})
 
 
+# --- the factorization route, kept as the oracle in factor_preimage.py ----------
+
+
 def test_factor_identity_is_single_letter_map():
     ident = Homomorphism({a: (a,) for a in "abcd"})
     steps = factor(ident)
-    assert len(steps) == 1 and steps[0].is_letter_to_letter()
+    assert len(steps) == 1 and is_letter_to_letter(steps[0])
 
 
 def test_factor_two_letter_image():
     f = Homomorphism({"a": ("b", "c"), "b": ("b",), "c": ("c",)})
     steps = factor(f)
-    assert [s.is_letter_to_letter() for s in steps] == [False, True]
-    assert steps[0].expansion_triple() is not None
+    assert [is_letter_to_letter(s) for s in steps] == [False, True]
+    assert expansion_triple(steps[0]) is not None
 
 
 def test_factor_three_letter_image():
     f = Homomorphism({"a": ("b", "c", "d"), "b": ("b",), "c": ("c",), "d": ("d",)})
     steps = factor(f)
-    assert [s.is_letter_to_letter() for s in steps] == [False, False, True]
+    assert [is_letter_to_letter(s) for s in steps] == [False, False, True]
 
 
 def test_factor_composes_back():
@@ -228,3 +236,85 @@ def test_preimage_letter_map_preserves_determinism(quad, zcount, xyblock):
         images.update({f"u{i}": (a,) for i, a in enumerate(letters)})
         machine = preimage(base, Homomorphism(images, tuple(letters)))
         assert check_deterministic(machine) is None
+
+
+# --- the one-pass construction against the factorization route and brute force ---
+
+DETERMINISTIC = ("anbn.nsa", "anbncndn.nsa", "dyck2.nsa", "xyblock.nsa", "zcount.nsa")
+MACHINES = {p.name: load_machine(p.name) for p in sorted(FIXTURES.glob("*.nsa"))}
+HOMS = {p.name: hom(p.name) for p in sorted(FIXTURES.glob("*.hom"))}
+FIXTURE_PAIRS = [
+    (m, h)
+    for m, base in MACHINES.items()
+    for h, f in HOMS.items()
+    if set(f.target_alphabet) <= set(base.input_alphabet)
+]
+
+
+def check_against_oracles(base, f, max_len=5):
+    """The preimage's words up to `max_len` equal the factorization route's
+    and brute force's; determinism and limited erasing carry over."""
+    machine = preimage(base, f)
+    got = enumerate_accepted(machine, max_len)
+    assert got == enumerate_accepted(old.preimage(base, f), max_len)
+    verdicts = {w: accepts(base, f(w)).verdict for w in words_up_to(f.source_alphabet, max_len)}
+    assert got == {w for w, verdict in verdicts.items() if verdict == ACCEPTED}
+    assert all(verdict in (ACCEPTED, REJECTED) for verdict in verdicts.values())
+    if check_deterministic(base) is None:
+        assert check_deterministic(machine) is None
+    erasing = check_limited_erasing(base)
+    if erasing.bounded:
+        # a silent path crosses at most the layers of one image word, each
+        # segment erasing at most the base bound, plus one edge per crossing
+        longest = max(len(w) for w in f.images.values())
+        report = check_limited_erasing(machine)
+        assert report.bounded and report.bound <= longest * (erasing.bound + 1) - 1
+
+
+def test_fixture_pairs_cover_every_hom():
+    assert {h for _, h in FIXTURE_PAIRS} == set(HOMS)
+    assert all(m in DETERMINISTIC for m, _ in FIXTURE_PAIRS)
+
+
+@pytest.mark.parametrize("machine_name,hom_name", FIXTURE_PAIRS)
+def test_preimage_matches_factor_route_and_brute_force(machine_name, hom_name):
+    check_against_oracles(MACHINES[machine_name], HOMS[hom_name])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_random_preimages_match_factor_route_and_brute_force(data):
+    base = MACHINES[data.draw(st.sampled_from(DETERMINISTIC))]
+    letters = sorted(base.input_alphabet)
+    image = st.lists(st.sampled_from(letters), min_size=1, max_size=3).map(tuple)
+    images = {f"s{i}": data.draw(image) for i in range(data.draw(st.integers(1, 3)))}
+    check_against_oracles(base, Homomorphism(images, tuple(letters)))
+
+
+def test_letter_to_letter_preimage_is_the_letter_map(quad, zcount):
+    f = hom("collapse_pq.hom")
+    assert preimage(quad, f) == preimage_letter_map(quad, f)
+    swap = Homomorphism({"a": ("A",), "A": ("a",), "b": ("a",)})
+    assert preimage(zcount, swap) == preimage_letter_map(zcount, swap)
+
+
+def test_preimage_adds_one_layer_per_inner_position(quad, xyblock):
+    machine = preimage(quad, hom("block4.hom"))
+    assert len(machine.states) == 4 * (1 + 3)
+    assert machine.states[:4] == quad.states
+    assert machine.initial == quad.initial and machine.finals == quad.finals
+    assert machine.memory_alphabet == quad.memory_alphabet
+    assert all(q.startswith("__") for q in machine.states[4:])
+    assert len(preimage(xyblock, hom("wsplit.hom")).states) == 8
+
+
+def test_preimage_of_a_preimage_keeps_names_apart(dyck2):
+    # the inner preimage already has `__` states; the outer layers must not
+    # reuse their names
+    inner = preimage(dyck2, hom("block4.hom"))
+    g = Homomorphism({"r": ("p", "p"), "s": ("b", "p")})
+    outer = preimage(inner, g)
+    assert len(set(outer.states)) == len(outer.states) == 3 * len(inner.states)
+    composed = Homomorphism({a: hom("block4.hom")(w) for a, w in g.images.items()})
+    assert enumerate_accepted(outer, 4) == enumerate_accepted(preimage(dyck2, composed), 4)
+    assert check_deterministic(outer) is None
