@@ -1,80 +1,57 @@
 """Nested stack automata: memory trees, machines, configuration graphs,
-pushdown tree quotients, and Cayley-graph geometry probes."""
+pushdown tree quotients, and Cayley-graph geometry probes.
 
-from .memory_tree import (
-    EPSILON,
-    STAY,
-    UNDEFINED,
-    MemoryTree,
-    StackOp,
-    apply,
-    apply_word,
-    down,
-    empty_tree,
-    pop,
-    push,
-    up,
-    validate,
-)
-from .machine import (
-    ACCEPTED,
-    CAP_EXCEEDED,
-    REJECTED,
-    AcceptResult,
-    Computation,
-    Edge,
-    Machine,
-    MachineError,
-    MachineParseError,
-    ResourceCaps,
-    accepts,
-    check_deterministic,
-    check_limited_erasing,
-    deterministic_run,
-    enumerate_accepted,
-    format_machine,
-    parse_machine,
-    parse_word,
-    run_trace,
-    step,
-    successors,
-)
-from .hom import (
-    Homomorphism,
-    parse_homomorphism,
-    preimage,
-    publish_reserved_names,
-)
-from .config_graph import (
-    BuildHorizon,
-    ConfigGraph,
-    Configuration,
-    UNBOUNDED_WITHIN_HORIZON,
-    build,
-    check_degrees,
-    export_dot,
-    lift_path,
-    max_eps_run,
-    project,
-    vertex_name,
-)
-from .pda_quotient import (
-    QuotientGraph,
-    check_tree,
-    is_pushdown,
-    nonerasing_classes,
-    quotient,
-    quotient_distortion,
-)
-from .group_geometry import (
-    CayleyWindow,
-    GroupOracle,
-    ball,
-    ends_probe,
-    make_oracle,
-    min_separator,
-    narrowness_probe,
-    qi_check,
-)
+The public names below resolve on first use: `import nestedstack` loads
+no submodule, and `nestedstack.accepts` (or `from nestedstack import
+accepts`) imports `nestedstack.machine` and its own imports only then.
+`from nestedstack import *` binds every name in `__all__`.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "memory_tree": (
+        "EPSILON", "STAY", "UNDEFINED", "MemoryTree", "StackOp", "apply", "apply_word",
+        "down", "empty_tree", "pop", "push", "up", "validate",
+    ),
+    "machine": (
+        "ACCEPTED", "CAP_EXCEEDED", "REJECTED", "AcceptResult", "Computation", "Edge",
+        "Machine", "MachineError", "MachineParseError", "ResourceCaps", "accepts",
+        "check_deterministic", "check_limited_erasing", "deterministic_run",
+        "enumerate_accepted", "format_machine", "parse_machine", "parse_word",
+        "run_trace", "step", "successors",
+    ),
+    "hom": ("Homomorphism", "parse_homomorphism", "preimage", "publish_reserved_names"),
+    "config_graph": (
+        "BuildHorizon", "ConfigGraph", "Configuration", "UNBOUNDED_WITHIN_HORIZON", "build",
+        "check_degrees", "export_dot", "lift_path", "max_eps_run", "project", "vertex_name",
+    ),
+    "pda_quotient": (
+        "QuotientGraph", "check_tree", "is_pushdown", "nonerasing_classes", "quotient",
+        "quotient_distortion",
+    ),
+    "group_geometry": (
+        "CayleyWindow", "GroupOracle", "ball", "ends_probe", "make_oracle", "min_separator",
+        "narrowness_probe", "qi_check",
+    ),
+}
+
+# public name -> the submodule that defines it
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

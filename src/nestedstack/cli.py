@@ -11,20 +11,19 @@ row names the command, its handler, where its input comes from (a
 positional machine file, `--machine` or `--group`) and the option groups
 it takes.  `main` loads that input once and hands it to the handler, which
 returns `(payload, lines, exit_code)` for `_emit` to print.
+
+Only `machine` is imported at module level.  Each handler imports the
+modules it runs, so that one command in a fresh interpreter loads and
+compiles only its own part of the package.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
-from . import config_graph as cgmod
-from . import group_geometry as geo
-from . import pda_quotient as pda
-from .hom import parse_homomorphism, preimage, publish_reserved_names
 from .machine import (
     ACCEPTED,
     CAP_EXCEEDED,
@@ -56,9 +55,6 @@ _NON_NEGATIVE = (
     "horizon", "max_tree_edges", "max_steps", "max_frontier",
     "max_vertices", "max_depth", "max_len",
 )
-
-# Failures of the window-based geometry probes that are the caller's doing.
-_WINDOW_ERRORS = (ValueError, geo.WindowCapExceeded)
 
 
 class _UsageError(Exception):
@@ -110,8 +106,10 @@ def _caps(args) -> ResourceCaps:
     )
 
 
-def _horizon(args) -> cgmod.BuildHorizon:
-    return cgmod.BuildHorizon(
+def _horizon(args):
+    from .config_graph import BuildHorizon
+
+    return BuildHorizon(
         max_tree_edges=args.horizon,
         max_vertices=args.max_vertices,
         max_depth=args.max_depth,
@@ -125,6 +123,8 @@ def _emit(args, payload: Optional[dict], text_lines: List[str]) -> None:
     computed, so the rest of the output is dropped."""
     try:
         if args.json and payload is not None:
+            import json
+
             payload = {"schema": SCHEMA, **payload}
             print(json.dumps(payload, sort_keys=True))
         else:
@@ -251,6 +251,8 @@ def cmd_trace(args, machine):
 
 
 def cmd_preimage(args, machine):
+    from .hom import parse_homomorphism, preimage, publish_reserved_names
+
     hom = _read(args.hom, parse_homomorphism)
     result = publish_reserved_names(_as_usage(ValueError, preimage, machine, hom))
     text = format_machine(result)
@@ -265,6 +267,8 @@ def cmd_preimage(args, machine):
 
 
 def cmd_cg_build(args, machine):
+    from . import config_graph as cgmod
+
     cg = cgmod.build(machine, _horizon(args))
     co = sum(1 for v in cg.vertices if v in cg.coaccessible)
     payload = {
@@ -283,6 +287,8 @@ def cmd_cg_build(args, machine):
 
 
 def cmd_cg_dot(args, machine):
+    from . import config_graph as cgmod
+
     text = cgmod.export_dot(cgmod.build(machine, _horizon(args)))
     if args.out:
         _write(args.out, text)
@@ -291,6 +297,8 @@ def cmd_cg_dot(args, machine):
 
 
 def cmd_cg_lift(args, machine):
+    from . import config_graph as cgmod
+
     if check_deterministic(machine) is not None:
         raise _UsageError("error: lift requires a deterministic machine")
     word = _read_word(args)
@@ -312,6 +320,9 @@ def cmd_cg_lift(args, machine):
 
 
 def cmd_cg_project(args, machine):
+    from . import config_graph as cgmod
+    from . import group_geometry as geo
+
     oracle = _as_usage((ValueError, OSError), geo.make_oracle, args.group, prefix="group spec error")
     cg = cgmod.build(machine, _horizon(args))
     report = _as_usage(ValueError, cgmod.project, cg, oracle)
@@ -347,6 +358,9 @@ def cmd_cg_project(args, machine):
 
 
 def cmd_pda_quotient(args, machine):
+    from . import config_graph as cgmod
+    from . import pda_quotient as pda
+
     if not pda.is_pushdown(machine):
         raise _UsageError("error: machine has up/down moves; not a pushdown machine")
     cg = cgmod.build(machine, _horizon(args))
@@ -379,7 +393,9 @@ def cmd_pda_quotient(args, machine):
 
 
 def cmd_group_ball(args, oracle):
-    window = _as_usage(_WINDOW_ERRORS, geo.ball, oracle, parse_word(args.center), args.radius)
+    from .group_geometry import WindowCapExceeded, ball
+
+    window = _as_usage((ValueError, WindowCapExceeded), ball, oracle, parse_word(args.center), args.radius)
     by_dist: dict = {}
     for v, d in window.dist.items():
         by_dist.setdefault(d, []).append(oracle.describe(v))
@@ -397,8 +413,10 @@ def cmd_group_ball(args, oracle):
 
 
 def cmd_group_separator(args, oracle):
+    from .group_geometry import WindowCapExceeded, min_separator
+
     c1, c2 = (parse_word(c) for c in args.centers)
-    report = _as_usage(_WINDOW_ERRORS, geo.min_separator, oracle, c1, c2, args.radius, args.window)
+    report = _as_usage((ValueError, WindowCapExceeded), min_separator, oracle, c1, c2, args.radius, args.window)
     cut = [oracle.describe(v) for v in report.cut_set]
     lines = [
         f"minimum separator size: {report.cut_size}",
@@ -418,8 +436,10 @@ def cmd_group_separator(args, oracle):
 
 
 def cmd_group_probe(args, oracle):
+    from .group_geometry import narrowness_probe
+
     centers = [parse_word(c) for c in args.centers]
-    table = geo.narrowness_probe(oracle, args.radius, centers, args.window)
+    table = narrowness_probe(oracle, args.radius, centers, args.window)
     lines = [
         "narrowness probe (sampled evidence only; the property quantifies",
         "over all but finitely many balls and cannot be certified here)",
@@ -449,7 +469,9 @@ def cmd_group_probe(args, oracle):
 
 
 def cmd_group_ends(args, oracle):
-    report = _as_usage(_WINDOW_ERRORS, geo.ends_probe, oracle, args.radius, args.window)
+    from .group_geometry import WindowCapExceeded, ends_probe
+
+    report = _as_usage((ValueError, WindowCapExceeded), ends_probe, oracle, args.radius, args.window)
     lines = [
         f"components of the window minus the radius-{args.radius} ball:",
         f"  touching the window boundary (unbounded-looking): {report.boundary_components}",
@@ -481,9 +503,11 @@ def _parse_samples(text: str) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
 
 
 def cmd_group_qi(args, oracle):
-    target = _as_usage((ValueError, OSError), geo.make_oracle, args.target)
+    from .group_geometry import make_oracle, qi_check
+
+    target = _as_usage((ValueError, OSError), make_oracle, args.target)
     samples = _read(args.samples, _parse_samples)
-    violations = _as_usage(ValueError, geo.qi_check, oracle, target, samples, args.k, args.window)
+    violations = _as_usage(ValueError, qi_check, oracle, target, samples, args.k, args.window)
     lines = [f"checked {len(samples)} samples with k={args.k}: {len(violations)} violations"]
     lines += [f"  [{v.kind}] {v.detail}" for v in violations]
     payload = {
@@ -605,7 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args, source: str):
     """The command's input: a group oracle, or a parsed machine file."""
     if source == "--group":
-        return _as_usage((ValueError, OSError), geo.make_oracle, args.group)
+        from .group_geometry import make_oracle
+
+        return _as_usage((ValueError, OSError), make_oracle, args.group)
     return _read(args.machine, parse_machine)
 
 

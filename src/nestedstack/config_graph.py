@@ -31,16 +31,19 @@ def vertex_name(config: Configuration) -> str:
     """Display name: for a single-branch tree, the branch word with the
     state id spliced in at the pointer position (so `yx3x` is state 3 on
     branch yxx with the pointer two edges deep); anything else falls back
-    to the serialized tree."""
+    to the serialized tree.  A state id longer than one character is put
+    in brackets (`y[x1]`), so that it cannot run into the branch letters:
+    state `x1` on branch y and state 1 on branch yx get distinct names."""
+    state = config.state if len(config.state) == 1 else f"[{config.state}]"
     branch = config.tree.branch_labels()
     if branch is None:
-        return f"{config.state}|{config.tree}"
+        return f"{state}|{config.tree}"
     d = config.tree.distinguished
     prefix = "".join(branch[:d])
     suffix = "".join(branch[d:])
     if not prefix and not suffix:
         prefix = "ε"
-    return f"{prefix}{config.state}{suffix}"
+    return f"{prefix}{state}{suffix}"
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from functools import cached_property
 from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .graphs import weighted_path_bound
 from .memory_tree import (
     EPSILON,
     UNDEFINED,
@@ -454,6 +453,8 @@ def check_limited_erasing(machine: Machine) -> ErasingReport:
     actually execute them), which is exactly the property being decided:
     restrict to silent edges, weight pops 1, and either find a cycle
     through a pop or take the max-weight path over the condensation."""
+    from .graphs import weighted_path_bound  # the only use of graphs here: loaded on demand
+
     eps_edges = [
         (e.src, e.dst, 1 if e.op.kind == "pop" else 0, e)
         for e in machine.edges

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -140,6 +141,21 @@ def test_cg_build_and_dot_reproducible(capsys):
     assert code == code2 == 0
     assert out1 == out2
     assert "yxx2" in out1
+
+
+def test_cg_dot_labels_are_distinct_for_long_state_ids(capsys, tmp_path):
+    # state 1 on branch yx and state x1 on branch y both read `yx1` when the
+    # id is spliced into the branch word without brackets
+    machine = tmp_path / "x1.nsa"
+    machine.write_text(
+        "states: 1 x1\nstart: 1\nfinal: 1\ninput: a b\nmemory: x y\n"
+        "edge: 1 1 push y a\nedge: 1 1 push x b\nedge: 1 x1 push y b\n"
+    )
+    code, out, _ = run(capsys, "cg", "dot", "--machine", str(machine), "--horizon", "2")
+    assert code == 0
+    labels = re.findall(r'^  n\d+ \[label="([^"]*)"', out, re.MULTILINE)
+    assert "yx1" in labels and "y[x1]" in labels
+    assert len(labels) == len(set(labels))
 
 
 def test_cg_lift(capsys):

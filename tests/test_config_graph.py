@@ -80,6 +80,11 @@ def test_vertex_name_conventions(quad):
     deeper = tree.__class__(tree.parents, tree.labels, 2)
     assert vertex_name(Configuration("3", deeper)) == "yx3x"
     assert vertex_name(Configuration("1", empty_tree())) == "ε1"
+    # ids longer than one character are bracketed, so they cannot run
+    # into the branch letters
+    assert vertex_name(Configuration("x1", tree)) == "yxx[x1]"
+    assert vertex_name(Configuration("2@1", deeper)) == "yx[2@1]x"
+    assert vertex_name(Configuration("x1", empty_tree())) == "ε[x1]"
 
 
 # --- structural checks --------------------------------------------------------

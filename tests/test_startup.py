@@ -1,0 +1,122 @@
+"""Start-up: a command loads only the modules on its own path, and
+`import nestedstack` resolves its public names on first use.
+
+These run fresh interpreters.  In-process tests cannot see a broken lazy
+import, because earlier tests have already loaded every module.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import nestedstack
+from nestedstack.cli import COMMANDS
+
+from test_golden import CASES, GOLDEN, ROOT, _exit_codes
+
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+MACHINE = {"machine", "memory_tree"}
+GRAPH = MACHINE | {"config_graph", "graphs"}
+GROUP = MACHINE | {"group_geometry"}
+
+# command -> (golden case, the nestedstack submodules it may load)
+STARTUP = {
+    ("validate",): ("validate_quad", MACHINE),
+    ("accept",): ("accept_quad", MACHINE),
+    ("run",): ("run_quad_json", MACHINE),
+    ("enumerate",): ("enumerate_anbn", MACHINE),
+    ("check-det",): ("check_det_popcycle", MACHINE),
+    ("check-erasing",): ("check_erasing_quad", MACHINE | {"graphs"}),
+    ("trace",): ("trace_quad_abcd", MACHINE),
+    ("preimage",): ("preimage_quad_block4", MACHINE | {"hom"}),
+    ("cg", "build"): ("cg_build_anbn_json", GRAPH),
+    ("cg", "dot"): ("cg_dot_anbn", GRAPH),
+    ("cg", "lift"): ("cg_lift_quad_stuck", GRAPH),
+    ("cg", "project"): ("cg_project_zcount", GRAPH | {"group_geometry"}),
+    ("pda", "quotient"): ("pda_quotient_anbn", GRAPH | {"pda_quotient"}),
+    ("group", "ball"): ("group_ball_free2", GROUP),
+    ("group", "separator"): ("group_separator_free2_json", GROUP),
+    ("group", "probe"): ("group_probe_abelian2", GROUP),
+    ("group", "ends"): ("group_ends_abelian1", GROUP),
+    ("group", "qi"): ("group_qi_double_k1", GROUP),
+}
+
+# the names `nestedstack/__init__.py` imported eagerly before it turned lazy
+PUBLIC = {
+    "memory_tree": "EPSILON STAY UNDEFINED MemoryTree StackOp apply apply_word down empty_tree pop push up validate",
+    "machine": "ACCEPTED CAP_EXCEEDED REJECTED AcceptResult Computation Edge Machine MachineError "
+               "MachineParseError ResourceCaps accepts check_deterministic check_limited_erasing "
+               "deterministic_run enumerate_accepted format_machine parse_machine parse_word run_trace step "
+               "successors",
+    "hom": "Homomorphism parse_homomorphism preimage publish_reserved_names",
+    "config_graph": "BuildHorizon ConfigGraph Configuration UNBOUNDED_WITHIN_HORIZON build check_degrees "
+                    "export_dot lift_path max_eps_run project vertex_name",
+    "pda_quotient": "QuotientGraph check_tree is_pushdown nonerasing_classes quotient quotient_distortion",
+    "group_geometry": "CayleyWindow GroupOracle ball ends_probe make_oracle min_separator narrowness_probe qi_check",
+}
+
+
+# Names the loaded nestedstack submodules on one line of stderr.
+REPORT = ('print(*sorted(m.removeprefix("nestedstack.") for m in sys.modules if m.startswith("nestedstack.")),'
+          ' file=sys.stderr)')
+
+# `python -m nestedstack.cli ARGS` as `-m` runs it, reporting at exit.
+# (`-X importtime` would miss modules loaded through `importlib`.)
+RUN_CLI = ("import atexit, runpy, sys; atexit.register(lambda: " + REPORT + "); "
+           "runpy.run_module('nestedstack.cli', run_name='__main__', alter_sys=True)")
+
+
+def fresh(code, *args):
+    """A fresh interpreter running `code`: exit code, stdout bytes, and the
+    last line of stderr split into words."""
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=ENV, capture_output=True, timeout=60)
+    last = (proc.stderr.decode().splitlines() or [""])[-1]
+    return proc.returncode, proc.stdout, set(last.split())
+
+
+def test_startup_table_covers_every_command():
+    assert set(STARTUP) == {c.path for c in COMMANDS}
+
+
+@pytest.mark.parametrize("path", list(STARTUP), ids=[" ".join(p) for p in STARTUP])
+def test_command_loads_only_its_modules(path):
+    case, modules = STARTUP[path]
+    argv = dict(CASES)[case]
+    assert tuple(argv[:len(path)]) == path
+    code, out, loaded = fresh(RUN_CLI, *argv)
+    assert out == (GOLDEN / f"{case}.out").read_bytes()
+    assert code == _exit_codes()[case]
+    assert loaded == modules
+
+
+def test_import_loads_no_submodule():
+    code, _, loaded = fresh("import sys, nestedstack; " + REPORT)
+    assert code == 0 and loaded == set()
+    code, _, loaded = fresh("import sys, nestedstack; nestedstack.accepts; " + REPORT)
+    assert code == 0 and loaded == MACHINE
+
+
+def test_public_names_resolve_to_the_submodule_objects():
+    for module, names in PUBLIC.items():
+        sub = importlib.import_module(f"nestedstack.{module}")
+        for name in names.split():
+            assert getattr(nestedstack, name) is getattr(sub, name), name
+    assert set(nestedstack.__all__) == {n for names in PUBLIC.values() for n in names.split()}
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from nestedstack import *", namespace)
+    for names in PUBLIC.values():
+        for name in names.split():
+            assert namespace[name] is getattr(nestedstack, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nestedstack.no_such_name
+    assert not hasattr(nestedstack, "weighted_path_bound")
