@@ -9,7 +9,8 @@ byte-identical output.
 One table, `COMMANDS`, drives both the argument parser and dispatch.  A
 row names the command, its handler, where its input comes from (a
 positional machine file, `--machine` or `--group`) and the option groups
-it takes.  `main` loads that input once and hands it to the handler, which
+it takes.  `main` parses with a parser built for the command that argv
+names alone, loads that input once and hands it to the handler, which
 returns `(payload, lines, exit_code)` for `_emit` to print.
 
 Only `machine` is imported at module level.  Each handler imports the
@@ -99,21 +100,13 @@ def _format_word(word: Tuple[str, ...]) -> str:
 
 
 def _caps(args) -> ResourceCaps:
-    return ResourceCaps(
-        max_steps=args.max_steps,
-        max_tree_edges=args.max_tree_edges,
-        max_frontier=args.max_frontier,
-    )
+    return ResourceCaps(args.max_steps, args.max_tree_edges, args.max_frontier)
 
 
 def _horizon(args):
     from .config_graph import BuildHorizon
 
-    return BuildHorizon(
-        max_tree_edges=args.horizon,
-        max_vertices=args.max_vertices,
-        max_depth=args.max_depth,
-    )
+    return BuildHorizon(args.horizon, args.max_vertices, args.max_depth)
 
 
 def _emit(args, payload: Optional[dict], text_lines: List[str]) -> None:
@@ -303,7 +296,7 @@ def cmd_cg_lift(args, machine):
         raise _UsageError("error: lift requires a deterministic machine")
     word = _read_word(args)
     result = cgmod.lift_path(machine, word, _caps(args))
-    names = [cgmod.vertex_name(c) for c in result.configs]
+    names = list(map(cgmod.vertex_namer(machine), result.configs))
     lines = [" -> ".join(names), f"status: {result.status}"]
     if result.status == "stuck":
         lines.append(f"no continuation consumes letter {result.stuck_at}")
@@ -331,14 +324,15 @@ def cmd_cg_project(args, machine):
         f"edge inconsistencies: {len(report.violations)}",
     ]
     payload_violations = []
+    name = cgmod.vertex_namer(machine)
     for v in report.violations[:20]:
         lines.append(
-            f"  at {cgmod.vertex_name(v.edge[1])}: "
+            f"  at {name(v.edge[1])}: "
             f"{_format_word(v.via_discovery)} vs {_format_word(v.via_edge)}"
         )
         payload_violations.append(
             {
-                "config": cgmod.vertex_name(v.edge[1]),
+                "config": name(v.edge[1]),
                 "via_discovery": list(v.via_discovery),
                 "via_edge": list(v.via_edge),
             }
@@ -439,7 +433,7 @@ def cmd_group_probe(args, oracle):
     from .group_geometry import narrowness_probe
 
     centers = [parse_word(c) for c in args.centers]
-    table = narrowness_probe(oracle, args.radius, centers, args.window)
+    table = _as_usage(ValueError, narrowness_probe, oracle, args.radius, centers, args.window)
     lines = [
         "narrowness probe (sampled evidence only; the property quantifies",
         "over all but finitely many balls and cannot be certified here)",
@@ -546,9 +540,9 @@ _OPTIONS = {
         _arg("--word-file", default=None, help="file with space-separated letters"),
     ),
     "caps": (
-        _arg("--max-steps", type=int, default=ResourceCaps.max_steps),
-        _arg("--max-tree-edges", type=int, default=ResourceCaps.max_tree_edges),
-        _arg("--max-frontier", type=int, default=ResourceCaps.max_frontier),
+        _arg("--max-steps", type=int, default=ResourceCaps().max_steps),
+        _arg("--max-tree-edges", type=int, default=ResourceCaps().max_tree_edges),
+        _arg("--max-frontier", type=int, default=ResourceCaps().max_frontier),
     ),
     "horizon": (
         _arg("--horizon", type=int, default=16, help="max memory-tree edges"),
@@ -609,14 +603,24 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_subparsers(parser, family: Tuple[str, ...], one_command: bool):
+    """The subcommand slot after `family` (`nsa cg ...`).  In a parser built
+    for one command it still names every choice, so usage lines read the
+    same as the full parser's."""
+    names = dict.fromkeys(c.path[len(family)] for c in COMMANDS if c.path[:len(family)] == family)
+    metavar = "{" + ",".join(names) + "}" if one_command else None
+    return parser.add_subparsers(dest="_".join(family + ("command",)), required=True, metavar=metavar)
+
+
+def build_parser(chosen: Optional[Command] = None) -> argparse.ArgumentParser:
+    """The parser for every command in `COMMANDS`, or only for `chosen`."""
     parser = argparse.ArgumentParser(prog="nsa", description="Nested stack automata toolkit")
-    subparsers = {(): parser.add_subparsers(dest="command", required=True)}
-    for command in COMMANDS:
+    subparsers = {(): _add_subparsers(parser, (), chosen is not None)}
+    for command in COMMANDS if chosen is None else (chosen,):
         family, name = command.path[:-1], command.path[-1]
         if family not in subparsers:
             p = subparsers[()].add_parser(family[0], help=_FAMILIES[family[0]])
-            subparsers[family] = p.add_subparsers(dest=f"{family[0]}_command", required=True)
+            subparsers[family] = _add_subparsers(p, family, chosen is not None)
         p = subparsers[family].add_parser(name, help=command.help)
         options = [a for group in command.groups for a in _OPTIONS[group]]
         for flags, kwargs in [_SOURCES[command.source], _arg("--json", action="store_true"),
@@ -624,6 +628,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(*flags, **kwargs)
         p.set_defaults(entry=command)
     return parser
+
+
+def _named_command(argv: List[str]) -> Optional[Command]:
+    """The command that `argv` names in its leading words, if any."""
+    return next((c for c in COMMANDS if tuple(argv[:len(c.path)]) == c.path), None)
 
 
 def _load(args, source: str):
@@ -636,7 +645,8 @@ def _load(args, source: str):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_named_command(argv)).parse_args(argv)
     for name in _NON_NEGATIVE:
         value = getattr(args, name, None)
         if value is not None and value < 0:

@@ -10,16 +10,14 @@ every report carries that horizon.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .graphs import weighted_path_bound
 from .machine import Machine, ResourceCaps, deterministic_run, successors
 from .memory_tree import EPSILON, MemoryTree, empty_tree
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     state: str
     tree: MemoryTree
 
@@ -27,34 +25,53 @@ class Configuration:
         return vertex_name(self)
 
 
-def vertex_name(config: Configuration) -> str:
+def vertex_name(config: Configuration, style: int = 0) -> str:
     """Display name: for a single-branch tree, the branch word with the
     state id spliced in at the pointer position (so `yx3x` is state 3 on
     branch yxx with the pointer two edges deep); anything else falls back
     to the serialized tree.  A state id longer than one character is put
-    in brackets (`y[x1]`), so that it cannot run into the branch letters:
-    state `x1` on branch y and state 1 on branch yx get distinct names."""
-    state = config.state if len(config.state) == 1 else f"[{config.state}]"
+    in brackets (`y[x1]`), so that it cannot run into the branch letters.
+    Style 1 brackets every state id (`x[y]`).  Style 2 also writes state ids
+    and memory symbols as Python string literals (`'x'['y']`) and other
+    trees by their repr.  `vertex_namer` picks the style for a machine."""
     branch = config.tree.branch_labels()
+    state, symbols = _name_tokens(config.state, branch or (), style)
     if branch is None:
-        return f"{state}|{config.tree}"
+        return f"{state}|{config.tree!r}" if style == 2 else f"{state}|{config.tree}"
+    if not symbols:
+        return f"ε{state}"
     d = config.tree.distinguished
-    prefix = "".join(branch[:d])
-    suffix = "".join(branch[d:])
-    if not prefix and not suffix:
-        prefix = "ε"
-    return f"{prefix}{state}{suffix}"
+    return "".join(symbols[:d]) + state + "".join(symbols[d:])
 
 
-@dataclass(frozen=True)
-class BuildHorizon:
+def _name_tokens(state: str, symbols, style: int):
+    """The state id and the memory symbols as a name in `style` spells them."""
+    if style == 2:
+        state, symbols = repr(state), [repr(s) for s in symbols]
+    return (state if style == 0 and len(state) == 1 else f"[{state}]"), symbols
+
+
+def vertex_namer(machine: Machine):
+    """`vertex_name` in the first style that gives the configurations of
+    `machine` distinct names.  Names are strings of tokens (memory symbols,
+    one state id, `ε` for the empty tree, `|` before any other tree); when no
+    token is a prefix of another, they split into tokens one way only.
+    Style 2 always does: a string literal ends at its closing quote."""
+    def prefix_free(style):
+        tokens = sorted([*machine.memory_alphabet, "ε", "|", *(_name_tokens(q, (), style)[0] for q in machine.states)])
+        return not any(b.startswith(a) for a, b in zip(tokens, tokens[1:]))
+
+    style = next(filter(prefix_free, (0, 1)), 2)
+    return lambda config: vertex_name(config, style)
+
+
+class BuildHorizon(NamedTuple):
     max_tree_edges: int = 16
     max_vertices: int = 200_000
     max_depth: Optional[int] = None
 
 
-@dataclass
-class ConfigGraph:
+class ConfigGraph(NamedTuple):
     machine: Machine
     initial: Configuration
     vertices: List[Configuration]  # discovery order
@@ -142,20 +159,10 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
                 coaccessible.add(u)
                 stack.append(u)
 
-    return ConfigGraph(
-        machine=machine,
-        initial=initial,
-        vertices=vertices,
-        edges=edges,
-        discovery=discovery,
-        coaccessible=coaccessible,
-        horizon=horizon,
-        truncated=truncated,
-    )
+    return ConfigGraph(machine, initial, vertices, edges, discovery, coaccessible, horizon, truncated)
 
 
-@dataclass(frozen=True)
-class DegreeViolation:
+class DegreeViolation(NamedTuple):
     config: Configuration
     edges: Tuple[Tuple[Configuration, Configuration, str], ...]
 
@@ -201,8 +208,7 @@ def max_eps_run(cg: ConfigGraph):
     return bound
 
 
-@dataclass(frozen=True)
-class ProjectionViolation:
+class ProjectionViolation(NamedTuple):
     """An explored edge whose group value disagrees with the discovery path
     of its target: two words reaching one configuration with different
     images, evidence that the machine does not accept this group's word
@@ -215,8 +221,7 @@ class ProjectionViolation:
     image_edge: object
 
 
-@dataclass
-class ProjectionReport:
+class ProjectionReport(NamedTuple):
     images: Dict[Configuration, object]
     violations: List[ProjectionViolation]
 
@@ -262,8 +267,7 @@ def project(cg: ConfigGraph, oracle) -> ProjectionReport:
     return ProjectionReport(images=images, violations=violations)
 
 
-@dataclass
-class LiftResult:
+class LiftResult(NamedTuple):
     status: str  # "ok" | "stuck" | "cap_exceeded"
     configs: List[Configuration]
     labels: List[str]
@@ -301,6 +305,7 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
 def export_dot(cg: ConfigGraph) -> str:
     """Deterministic DOT rendering of the explored configuration graph."""
     index = {v: i for i, v in enumerate(cg.vertices)}
+    name = vertex_namer(cg.machine)
     lines = [
         "digraph config_graph {",
         "  rankdir=LR;",
@@ -308,7 +313,7 @@ def export_dot(cg: ConfigGraph) -> str:
         f" vertices <= {cg.horizon.max_vertices}, truncated: {str(cg.truncated).lower()}",
     ]
     for v in cg.vertices:
-        attrs = [f'label="{vertex_name(v)}"']
+        attrs = [f'label="{name(v)}"']
         if v == cg.initial:
             attrs.append("penwidth=2")
         if v in cg.coaccessible:

@@ -11,8 +11,8 @@ Cayley graphs are treated as undirected for metric purposes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 Word = Sequence[str]
 
@@ -355,13 +355,19 @@ class WindowCapExceeded(RuntimeError):
     pass
 
 
-@dataclass
-class CayleyWindow:
+class _CayleyWindowFields(NamedTuple):
     oracle: GroupOracle
     center: object
     radius: int
     dist: Dict[object, int]
-    _neighbor_cache: Dict[object, List[object]] = field(default_factory=dict)
+
+
+class CayleyWindow(_CayleyWindowFields):
+    # no __slots__: each window keeps its own neighbour cache in the instance dict
+
+    @cached_property
+    def _neighbor_cache(self) -> Dict[object, List[object]]:
+        return {}
 
     @property
     def vertices(self) -> List[object]:
@@ -409,8 +415,7 @@ def ball(oracle: GroupOracle, center: Word, radius: int, max_vertices: int = 2_0
 # --- minimum vertex separators -------------------------------------------
 
 
-@dataclass
-class SeparatorReport:
+class SeparatorReport(NamedTuple):
     cut_size: int
     cut_set: Tuple[object, ...]
     window_limited: bool
@@ -587,16 +592,14 @@ def min_separator(
     )
 
 
-@dataclass
-class ProbeCell:
+class ProbeCell(NamedTuple):
     radius: int
     center: Tuple[str, ...]
     report: Optional[SeparatorReport] = None
     error: Optional[str] = None
 
 
-@dataclass
-class ProbeTable:
+class ProbeTable(NamedTuple):
     cells: List[ProbeCell]
 
     def max_cut(self, radius: int) -> Optional[int]:
@@ -627,6 +630,8 @@ def narrowness_probe(
     finitely many balls and no finite probe can certify that."""
     cells: List[ProbeCell] = []
     centers = [tuple(c) for c in centers]
+    for c in centers:  # a letter that is not a generator raises ValueError
+        oracle.canonical(c)
     for r in sorted(set(radii)):
         for center in centers:
             if window_radius is None:
@@ -635,20 +640,17 @@ def narrowness_probe(
                 w = window_radius(r, center)
             else:
                 w = window_radius
-            cell = ProbeCell(radius=r, center=center)
             try:
-                cell.report = min_separator(oracle, (), center, r, w)
+                cells.append(ProbeCell(r, center, report=min_separator(oracle, (), center, r, w)))
             except (ValueError, WindowCapExceeded, RuntimeError) as exc:
-                cell.error = str(exc)
-            cells.append(cell)
+                cells.append(ProbeCell(r, center, error=str(exc)))
     return ProbeTable(cells)
 
 
 # --- ends ------------------------------------------------------------------
 
 
-@dataclass
-class EndsReport:
+class EndsReport(NamedTuple):
     radius: int
     window_radius: int
     boundary_components: int
@@ -703,8 +705,7 @@ def ends_probe(oracle: GroupOracle, radius: int, window_radius: int, max_vertice
 # --- quasi-isometry checking ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QIViolation:
+class QIViolation(NamedTuple):
     kind: str  # "lower", "upper", or "density"
     detail: str
 

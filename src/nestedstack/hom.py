@@ -10,8 +10,7 @@ user files; `publish_reserved_names` renames them for output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .machine import Edge, Machine, MachineParseError
 from .memory_tree import EPSILON
@@ -19,35 +18,32 @@ from .memory_tree import EPSILON
 Word = Tuple[str, ...]
 
 
-@dataclass
-class Homomorphism:
+class _HomomorphismFields(NamedTuple):
+    images: Dict[str, Word]
+    target_alphabet: Tuple[str, ...] = ()
+
+
+class Homomorphism(_HomomorphismFields):
     """Monoid map determined by the images of the source letters.
 
     No letter may map to the empty word.
     """
 
-    images: Dict[str, Word]
-    target_alphabet: Tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.images = {a: tuple(w) for a, w in self.images.items()}
-        for a, w in self.images.items():
+    def __new__(cls, images: Dict[str, Word], target_alphabet: Tuple[str, ...] = ()):
+        images = {a: tuple(w) for a, w in images.items()}
+        for a, w in images.items():
             if len(w) == 0:
                 raise ValueError(f"letter {a!r} maps to the empty word")
-        if not self.target_alphabet:
-            seen: List[str] = []
-            for w in self.images.values():
-                for b in w:
-                    if b not in seen:
-                        seen.append(b)
-            self.target_alphabet = tuple(seen)
+        if not target_alphabet:  # the image letters in order of appearance
+            target_alphabet = tuple(dict.fromkeys(b for w in images.values() for b in w))
         else:
-            self.target_alphabet = tuple(self.target_alphabet)
-            missing = {
-                b for w in self.images.values() for b in w
-            } - set(self.target_alphabet)
+            target_alphabet = tuple(target_alphabet)
+            missing = {b for w in images.values() for b in w} - set(target_alphabet)
             if missing:
                 raise ValueError(f"image letters outside target alphabet: {sorted(missing)}")
+        return tuple.__new__(cls, (images, target_alphabet))
 
     @property
     def source_alphabet(self) -> Tuple[str, ...]:
@@ -174,10 +170,6 @@ def publish_reserved_names(machine: Machine) -> Machine:
     def state(q):
         return renames.get(q, q)
 
-    return replace(
-        machine,
-        states=tuple(state(q) for q in machine.states),
-        initial=state(machine.initial),
-        finals=frozenset(state(q) for q in machine.finals),
-        edges=tuple(replace(e, src=state(e.src), dst=state(e.dst)) for e in machine.edges),
-    )
+    edges = tuple(e._replace(src=state(e.src), dst=state(e.dst)) for e in machine.edges)
+    return Machine(tuple(map(state, machine.states)), state(machine.initial), frozenset(map(state, machine.finals)),
+                   machine.input_alphabet, machine.memory_alphabet, edges)

@@ -9,10 +9,9 @@ so a verdict is ACCEPTED, REJECTED (exhaustive search), or CAP_EXCEEDED.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .memory_tree import (
     EPSILON,
@@ -46,8 +45,7 @@ class NondeterminismDetected(RuntimeError):
     """Two continuations applied where a deterministic run was promised."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     op: StackOp
@@ -58,8 +56,7 @@ class Edge:
         return f"{self.src} -({self.op}, {letter})-> {self.dst}"
 
 
-@dataclass(frozen=True)
-class Machine:
+class _MachineFields(NamedTuple):
     states: Tuple[str, ...]
     initial: str
     finals: frozenset
@@ -67,22 +64,27 @@ class Machine:
     memory_alphabet: frozenset
     edges: Tuple[Edge, ...]
 
-    def __post_init__(self):
-        states = set(self.states)
-        if len(states) != len(self.states):
+
+class Machine(_MachineFields):
+    # no __slots__: `moves` is cached in the instance dict
+
+    def __new__(cls, states, initial, finals, input_alphabet, memory_alphabet, edges):
+        state_set = set(states)
+        if len(state_set) != len(states):
             raise MachineError("duplicate state id")
-        if self.initial not in states:
-            raise MachineError(f"initial state {self.initial!r} not declared")
-        for q in self.finals:
-            if q not in states:
+        if initial not in state_set:
+            raise MachineError(f"initial state {initial!r} not declared")
+        for q in finals:
+            if q not in state_set:
                 raise MachineError(f"final state {q!r} not declared")
-        for e in self.edges:
-            if e.src not in states or e.dst not in states:
+        for e in edges:
+            if e.src not in state_set or e.dst not in state_set:
                 raise MachineError(f"edge endpoint not declared: {e}")
-            if e.op.symbol != EPSILON and e.op.symbol not in self.memory_alphabet:
+            if e.op.symbol != EPSILON and e.op.symbol not in memory_alphabet:
                 raise MachineError(f"edge uses undeclared memory symbol {e.op.symbol!r}")
-            if e.letter != EPSILON and e.letter not in self.input_alphabet:
+            if e.letter != EPSILON and e.letter not in input_alphabet:
                 raise MachineError(f"edge uses undeclared input letter {e.letter!r}")
+        return tuple.__new__(cls, (states, initial, finals, input_alphabet, memory_alphabet, edges))
 
     @cached_property
     def moves(self) -> Dict[str, Dict[Optional[str], Tuple[Edge, ...]]]:
@@ -262,15 +264,13 @@ def parse_word(text: str) -> Word:
 # --- running machines ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResourceCaps:
+class ResourceCaps(NamedTuple):
     max_steps: int = 10**6
     max_tree_edges: int = 10**4
     max_frontier: int = 10**5
 
 
-@dataclass(frozen=True)
-class Computation:
+class Computation(NamedTuple):
     """A path from the initial state together with its input word and the
     memory tree it produces."""
 
@@ -279,8 +279,7 @@ class Computation:
     outcome: MemoryTree
 
 
-@dataclass(frozen=True)
-class AcceptResult:
+class AcceptResult(NamedTuple):
     verdict: str
     witness: Optional[Computation] = None
     caps_hit: Tuple[str, ...] = ()
@@ -404,8 +403,7 @@ def enumerate_accepted(
 # --- decision procedures -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeterminismConflict:
+class DeterminismConflict(NamedTuple):
     """Two outedges that compete on some input and whose operation domains
     share a tree (witnessed by a current symbol and leaf status)."""
 
@@ -439,8 +437,7 @@ def check_deterministic(machine: Machine) -> Optional[DeterminismConflict]:
     return None
 
 
-@dataclass(frozen=True)
-class ErasingReport:
+class ErasingReport(NamedTuple):
     bounded: bool
     bound: Optional[int] = None
     cycle: Optional[Tuple[Edge, ...]] = None
@@ -469,15 +466,13 @@ def check_limited_erasing(machine: Machine) -> ErasingReport:
 # --- deterministic traces -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     edge: Edge
     tree: MemoryTree
     consumed: int
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     word: Word
     steps: Tuple[TraceStep, ...]
     consumed: int
@@ -537,12 +532,5 @@ def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resour
         stopped = "max_steps"
     else:
         stopped = "halted"
-    return Trace(
-        word=word,
-        steps=tuple(steps),
-        consumed=pos,
-        final_state=state,
-        final_tree=tree,
-        accepted_at=tuple(accepted_at),
-        stopped=stopped,
-    )
+    return Trace(word=word, steps=tuple(steps), consumed=pos, final_state=state, final_tree=tree,
+                 accepted_at=tuple(accepted_at), stopped=stopped)

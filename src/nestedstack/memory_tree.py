@@ -13,8 +13,7 @@ exception: partiality here is semantics, not an error condition.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 # The root has no inedge; its "current memory symbol" is the empty word.
 # Real edges are never labeled EPSILON.
@@ -43,24 +42,28 @@ UNDEFINED = _Undefined()
 OP_KINDS = ("down", "up", "push", "pop", "stay")
 
 
-@dataclass(frozen=True)
-class StackOp:
+class _StackOpFields(NamedTuple):
+    kind: str
+    symbol: str = EPSILON
+
+
+class StackOp(_StackOpFields):
     """A generator of the stack-operation monoid, or the identity `stay`.
 
     `up` accepts EPSILON as its symbol (meaning: distinguished vertex is the
     root); the other three symbol-carrying kinds require a real symbol.
     """
 
-    kind: str
-    symbol: str = EPSILON
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in OP_KINDS:
-            raise ValueError(f"unknown stack operation kind {self.kind!r}")
-        if self.kind in ("down", "push", "pop") and self.symbol == EPSILON:
-            raise ValueError(f"{self.kind} requires a non-empty memory symbol")
-        if self.kind == "stay" and self.symbol != EPSILON:
+    def __new__(cls, kind: str, symbol: str = EPSILON):
+        if kind not in OP_KINDS:
+            raise ValueError(f"unknown stack operation kind {kind!r}")
+        if kind in ("down", "push", "pop") and symbol == EPSILON:
+            raise ValueError(f"{kind} requires a non-empty memory symbol")
+        if kind == "stay" and symbol != EPSILON:
             raise ValueError("stay takes no symbol")
+        return tuple.__new__(cls, (kind, symbol))
 
     def __str__(self):
         if self.kind == "stay":
@@ -302,12 +305,11 @@ def apply(op: StackOp, tree: MemoryTree):
     Returns the resulting tree, or UNDEFINED when `tree` lies outside the
     operation's domain.
     """
-    kind = op.kind
+    kind, symbol = op
     node = tree._node
     if kind == "push":
         latest = tree._latest
         index = latest[_INDEX] + 1
-        symbol = op.symbol
         v = node[_INDEX]
         # _node(index, symbol, v, node, latest, tree._spine), inlined: push is the hot path
         h = hash((latest[_HASH], v, symbol))
@@ -315,7 +317,7 @@ def apply(op: StackOp, tree: MemoryTree):
         return _tree(new, new, None, index)
     if kind == "stay":
         return tree
-    if node[_LABEL] != op.symbol:
+    if node[_LABEL] != symbol:
         return UNDEFINED
     if kind == "down":
         parent = node[_PARENT]

@@ -10,8 +10,7 @@ explored configuration graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .config_graph import ConfigGraph, Configuration
 from .graphs import bfs_distances, fundamental_cycle
@@ -98,8 +97,7 @@ def nonerasing_classes(cg: ConfigGraph) -> List[List[Configuration]]:
     return classes
 
 
-@dataclass
-class QuotientGraph:
+class QuotientGraph(NamedTuple):
     classes: List[List[Configuration]]
     class_of: Dict[Configuration, int]
     edges: Set[Tuple[int, int]]  # unordered, stored as (i, j) with i < j

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,7 +8,7 @@ import sys
 
 import pytest
 
-from nestedstack.cli import COMMANDS, main
+from nestedstack.cli import _FAMILIES, COMMANDS, _named_command, build_parser, main
 from nestedstack.machine import format_machine, parse_machine
 
 from conftest import FIXTURES, load_machine
@@ -158,6 +160,20 @@ def test_cg_dot_labels_are_distinct_for_long_state_ids(capsys, tmp_path):
     assert len(labels) == len(set(labels))
 
 
+def test_cg_dot_labels_are_distinct_when_state_ids_are_memory_symbols(capsys, tmp_path):
+    # state y on branch x and state x on branch y with the pointer at the
+    # root both read `xy` when the ids are spliced in bare
+    machine = tmp_path / "xy.nsa"
+    machine.write_text(
+        "states: x y\nstart: x\nfinal: x\ninput: a b\nmemory: x y\n"
+        "edge: x y push x a\nedge: x x push y b\nedge: x x down y eps\n"
+    )
+    code, out, _ = run(capsys, "cg", "dot", "--machine", str(machine), "--horizon", "1")
+    assert code == 0
+    labels = re.findall(r'^  n\d+ \[label="([^"]*)"', out, re.MULTILINE)
+    assert labels == ["ε[x]", "x[y]", "y[x]", "[x]y"]
+
+
 def test_cg_lift(capsys):
     code, out, _ = run(capsys, "cg", "lift", "--machine", QUAD, "--word", "aa")
     assert code == 0
@@ -217,6 +233,15 @@ def test_group_probe_mentions_sampling_limitation(capsys):
     assert code == 0
     assert "sampled evidence" in out
     assert "trend across radii: increasing" in out
+
+
+@pytest.mark.parametrize("window", [[], ["--window", "4"]], ids=["default window", "fixed window"])
+def test_group_probe_center_outside_the_generators_exits_usage(capsys, window):
+    # as `group separator` and `group ball` do for the same center
+    code, out, err = run(capsys, "group", "probe", "--group", "abelian 1", "--radius", "1",
+                         "--centers", "9", *window)
+    assert code == 2 and out == ""
+    assert err == "error: '9' is not a generator of abelian(1)\n"
 
 
 def test_group_qi(capsys, tmp_path):
@@ -426,3 +451,44 @@ def test_missing_input_file_exits_usage(capsys, tmp_path, command):
 
 def test_command_table_covers_the_parser():
     assert set(REQUIRED) == {c.path for c in COMMANDS}
+
+
+# --- the parser built for the named command alone ------------------------------
+
+
+def _parse(parser, argv):
+    """Parsed arguments (None on exit), stdout, stderr and exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed, code = vars(parser.parse_args(argv)), 0
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+    return parsed, out.getvalue(), err.getvalue(), code
+
+
+def _parser_corpus():
+    yield from ([], ["-h"], ["--help"], ["-h", "accept"], ["bogus"], ["cg", "bogus"], ["cg", "-h"])
+    yield from ([family] for family in _FAMILIES)
+    for command in COMMANDS:
+        source = {"machine": [ANBN], "--machine": ["--machine", ANBN], "--group": ["--group", "free 2"]}
+        full = [*command.path, *source[command.source], *REQUIRED[command.path]]
+        yield [*command.path]  # no input
+        yield [*command.path, "-h"]
+        yield full
+        yield full + ["--json"]
+        yield full[:-1]  # an option without its value, or a missing required option
+        yield full + ["--bogus", "x"]  # unrecognized trailing arguments
+        yield full + ["--json", "--horizon", "x"]
+
+
+@pytest.mark.parametrize("argv", list(_parser_corpus()), ids=" ".join)
+def test_chosen_parser_matches_the_full_parser(argv):
+    assert _parse(build_parser(_named_command(argv)), argv) == _parse(build_parser(), argv)
+
+
+def test_only_a_command_path_chooses_a_parser():
+    for command in COMMANDS:
+        assert _named_command([*command.path, "-h"]) is command
+    for argv in ([], ["-h"], ["-h", "accept"], ["bogus"], ["cg"], ["cg", "bogus"], ["cg", "-h"], ["build"]):
+        assert _named_command(argv) is None

@@ -1,5 +1,8 @@
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nestedstack.config_graph import (
     BuildHorizon,
     Configuration,
@@ -11,10 +14,11 @@ from nestedstack.config_graph import (
     max_eps_run,
     project,
     vertex_name,
+    vertex_namer,
 )
 from nestedstack.graphs import fundamental_cycle
-from nestedstack.machine import NondeterminismDetected, parse_machine
-from nestedstack.memory_tree import EPSILON, apply_word, empty_tree, push
+from nestedstack.machine import Edge, Machine, NondeterminismDetected, parse_machine
+from nestedstack.memory_tree import EPSILON, MemoryTree, StackOp, apply_word, empty_tree, push
 
 from conftest import free_group_wp_machine
 from nestedstack.group_geometry import make_oracle
@@ -85,6 +89,76 @@ def test_vertex_name_conventions(quad):
     assert vertex_name(Configuration("x1", tree)) == "yxx[x1]"
     assert vertex_name(Configuration("2@1", deeper)) == "yx[2@1]x"
     assert vertex_name(Configuration("x1", empty_tree())) == "ε[x1]"
+
+
+def test_vertex_namer_styles(quad):
+    tree = apply_word([push("y"), push("x")], empty_tree())
+    deeper = tree.__class__(tree.parents, tree.labels, 1)
+    # the fixtures keep the plain names
+    assert vertex_namer(quad)(Configuration("3", deeper)) == "y3x"
+    # a one-character state id that is also a memory symbol is bracketed
+    xy = parse_machine("states: x y\nstart: x\nmemory: x y\nedge: x y push x eps\nedge: x x down y eps")
+    name = vertex_namer(xy)
+    assert name(Configuration("y", tree)) == "yx[y]"
+    assert name(Configuration("x", deeper)) == "y[x]x"
+    assert name(Configuration("x", empty_tree())) == "ε[x]"
+    # memory symbols that run into each other are written as string literals
+    prefixed = parse_machine("states: 1\nstart: 1\nmemory: x xy y\nedge: 1 1 push xy eps")
+    assert vertex_namer(prefixed)(Configuration("1", deeper)) == "'y'['1']'x'"
+    assert vertex_namer(prefixed)(Configuration("1", empty_tree())) == "ε['1']"
+    # so are the labels of other trees, which `,` separates in the plain form
+    commas = parse_machine("states: 1\nstart: 1\nmemory: x x,0-y y z\nedge: 1 1 push z eps")
+    three = MemoryTree((-1, 0, 0, 0), ("", "x", "y", "z"), 0)
+    two = MemoryTree((-1, 0, 0), ("", "x,0-y", "z"), 0)
+    assert str(three) == str(two) == "[0-x,0-y,0-z]@0"
+    name = vertex_namer(commas)
+    assert name(Configuration("1", three)) != name(Configuration("1", two))
+
+
+def test_vertex_names_reported_colliding_are_distinct():
+    # states 1 and x1 (memory x y), and states x y on memory x y: each pair
+    # of configurations below once got one name
+    long_ids = parse_machine("states: 1 x1\nstart: 1\nmemory: x y\nedge: 1 x1 push y eps")
+    name = vertex_namer(long_ids)
+    assert name(Configuration("1", MemoryTree((-1, 0, 1), ("", "y", "x"), 2))) == "yx1"
+    assert name(Configuration("x1", MemoryTree((-1, 0), ("", "y"), 1))) == "y[x1]"
+    shared = parse_machine("states: x y\nstart: x\nmemory: x y\nedge: x y push x eps")
+    name = vertex_namer(shared)
+    assert name(Configuration("y", MemoryTree((-1, 0), ("", "x"), 1))) == "x[y]"
+    assert name(Configuration("x", MemoryTree((-1, 0), ("", "y"), 0))) == "[x]y"
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.nsa")))
+def test_vertex_names_are_injective_on_fixture_graphs(fixture):
+    machine = parse_machine((FIXTURES / fixture).read_text())
+    cg = build(machine, BuildHorizon(max_tree_edges=5, max_vertices=3000))
+    name = vertex_namer(machine)
+    assert len({name(v) for v in cg.vertices}) == len(cg.vertices)
+
+
+# ids and symbols that collide in a plain splice: shared characters,
+# prefixes of each other, and the characters names and trees use as markers
+NAME_TOKENS = ["x", "y", "1", "xy", "yx", "x1", "11", "ε", "|", "[", "]", "[x]", "'", ",", "0-x", "@"]
+
+
+@st.composite
+def naming_machines(draw):
+    states = draw(st.lists(st.sampled_from(NAME_TOKENS), min_size=1, max_size=3, unique=True))
+    symbols = draw(st.lists(st.sampled_from(NAME_TOKENS), min_size=1, max_size=3, unique=True))
+    edges = set()
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["push", "push", "pop", "down", "up"]))
+        op = StackOp(kind, draw(st.sampled_from(symbols)))
+        edges.add(Edge(draw(st.sampled_from(states)), draw(st.sampled_from(states)), op, EPSILON))
+    return Machine(tuple(states), states[0], frozenset(), frozenset(), frozenset(symbols), tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(naming_machines())
+def test_vertex_names_are_injective_on_generated_machines(machine):
+    cg = build(machine, BuildHorizon(max_tree_edges=3, max_vertices=400))
+    name = vertex_namer(machine)
+    assert len({name(v) for v in cg.vertices}) == len(cg.vertices)
 
 
 # --- structural checks --------------------------------------------------------

@@ -116,6 +116,7 @@ _BASE = [
                                     "--centers", "", "a"]),
     ("usage_group_probe_spec", ["group", "probe", "--group", "product free 1", "--radius", "1",
                                 "--centers", "a"]),
+    ("usage_group_probe_center", ["group", "probe", "--group", "abelian 1", "--radius", "1", "--centers", "9"]),
     ("usage_group_ends_spec", ["group", "ends", "--group", "abelian x", "--radius", "1", "--window", "3"]),
     ("usage_group_qi_k", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "0",
                           "--samples", QI]),

@@ -1,10 +1,13 @@
 """Start-up: a command loads only the modules on its own path, and
-`import nestedstack` resolves its public names on first use.
+`import nestedstack` resolves its public names on first use.  No command
+loads `dataclasses` (or `inspect`, which it pulls in): records are
+`typing.NamedTuple` classes.
 
 These run fresh interpreters.  In-process tests cannot see a broken lazy
 import, because earlier tests have already loaded every module.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -60,9 +63,13 @@ PUBLIC = {
 }
 
 
-# Names the loaded nestedstack submodules on one line of stderr.
-REPORT = ('print(*sorted(m.removeprefix("nestedstack.") for m in sys.modules if m.startswith("nestedstack.")),'
-          ' file=sys.stderr)')
+# standard modules that no command may load
+HEAVY = {"dataclasses", "inspect"}
+
+# Names the loaded nestedstack submodules, and any HEAVY module, on one
+# line of stderr.
+REPORT = ('print(*sorted(m.removeprefix("nestedstack.") for m in sys.modules'
+          f' if m.startswith("nestedstack.") or m in {sorted(HEAVY)}), file=sys.stderr)')
 
 # `python -m nestedstack.cli ARGS` as `-m` runs it, reporting at exit.
 # (`-X importtime` would miss modules loaded through `importlib`.)
@@ -90,6 +97,7 @@ def test_command_loads_only_its_modules(path):
     code, out, loaded = fresh(RUN_CLI, *argv)
     assert out == (GOLDEN / f"{case}.out").read_bytes()
     assert code == _exit_codes()[case]
+    assert not loaded & HEAVY
     assert loaded == modules
 
 
@@ -98,6 +106,23 @@ def test_import_loads_no_submodule():
     assert code == 0 and loaded == set()
     code, _, loaded = fresh("import sys, nestedstack; nestedstack.accepts; " + REPORT)
     assert code == 0 and loaded == MACHINE
+
+
+def test_cli_import_loads_no_dataclasses():
+    code, _, loaded = fresh("import sys, nestedstack.cli; " + REPORT)
+    assert code == 0 and loaded == MACHINE | {"cli"}
+
+
+def test_no_source_module_imports_dataclasses():
+    for path in sorted((ROOT / "src" / "nestedstack").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not {n.split(".")[0] for n in names} & HEAVY, f"{path.name}:{node.lineno}"
 
 
 def test_public_names_resolve_to_the_submodule_objects():
