@@ -9,10 +9,9 @@ every report carries that horizon.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .graphs import weighted_path_bound
+from .graphs import bfs_distances, weighted_path_bound
 from .machine import Machine, ResourceCaps, deterministic_run, successors
 from .memory_tree import EPSILON, MemoryTree, empty_tree
 
@@ -81,9 +80,6 @@ class ConfigGraph(NamedTuple):
     horizon: BuildHorizon
     truncated: bool
 
-    def is_coaccessible_within_horizon(self, config: Configuration) -> bool:
-        return config in self.coaccessible
-
     def discovery_word(self, config: Configuration) -> Tuple[str, ...]:
         """Non-silent labels along the breadth-first discovery path."""
         labels: List[str] = []
@@ -119,11 +115,9 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
     vertices = [initial]
     edges: List[Tuple[Configuration, Configuration, str]] = []
     edge_seen: Set[Tuple[Configuration, Configuration, str]] = set()
-    queue = deque([initial])
     truncated = False
 
-    while queue:
-        cfg = queue.popleft()
+    for cfg in vertices:  # breadth-first: the loop reaches vertices as they are appended
         if horizon.max_depth is not None and depth[cfg] >= horizon.max_depth:
             truncated = True
             continue
@@ -139,7 +133,6 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
                 discovery[nxt] = (cfg, e.letter)
                 depth[nxt] = depth[cfg] + 1
                 vertices.append(nxt)
-                queue.append(nxt)
             key = (cfg, nxt, e.letter)
             if key not in edge_seen:
                 edge_seen.add(key)
@@ -150,14 +143,7 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
     back: Dict[Configuration, List[Configuration]] = {v: [] for v in vertices}
     for src, dst, _ in edges:
         back[dst].append(src)
-    coaccessible = set(accepting)
-    stack = list(accepting)
-    while stack:
-        v = stack.pop()
-        for u in back[v]:
-            if u not in coaccessible:
-                coaccessible.add(u)
-                stack.append(u)
+    coaccessible = set(bfs_distances(back.__getitem__, accepting))
 
     return ConfigGraph(machine, initial, vertices, edges, discovery, coaccessible, horizon, truncated)
 
@@ -302,6 +288,11 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
     return LiftResult("ok", configs, labels, pos)
 
 
+def dot_quote(text: str) -> str:
+    """`text` as a DOT double-quoted string."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(cg: ConfigGraph) -> str:
     """Deterministic DOT rendering of the explored configuration graph."""
     index = {v: i for i, v in enumerate(cg.vertices)}
@@ -313,7 +304,7 @@ def export_dot(cg: ConfigGraph) -> str:
         f" vertices <= {cg.horizon.max_vertices}, truncated: {str(cg.truncated).lower()}",
     ]
     for v in cg.vertices:
-        attrs = [f'label="{name(v)}"']
+        attrs = [f"label={dot_quote(name(v))}"]
         if v == cg.initial:
             attrs.append("penwidth=2")
         if v in cg.coaccessible:
@@ -321,6 +312,6 @@ def export_dot(cg: ConfigGraph) -> str:
         lines.append(f"  n{index[v]} [{', '.join(attrs)}];")
     for src, dst, label in cg.edges:
         text = label or "ε"
-        lines.append(f'  n{index[src]} -> n{index[dst]} [label="{text}"];')
+        lines.append(f"  n{index[src]} -> n{index[dst]} [label={dot_quote(text)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

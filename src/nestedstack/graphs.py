@@ -1,13 +1,21 @@
-"""Small graph routines shared across modules: strongly connected
-components, max-weight paths over edge-weighted digraphs, fundamental
-cycles of undirected graphs, and BFS distances."""
+"""Every graph search of the package: breadth-first distances and parent
+trees over a neighbours callable (`adj.__getitem__` for a dict, or an
+implicit graph such as a Cayley window), strongly connected components,
+max-weight paths over edge-weighted digraphs, and fundamental cycles of
+undirected graphs."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from math import inf
+from typing import Callable, Collection, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 Node = Hashable
+Neighbors = Callable[[Node], Iterable[Node]]
+
+
+class CapExceeded(RuntimeError):
+    """A search reached more vertices than its cap allows."""
 
 
 def strongly_connected_components(
@@ -70,16 +78,24 @@ def weighted_path_bound(edges: Sequence[Tuple[Node, Node, int, object]]):
     """
     nodes: Set[Node] = set()
     succ: Dict[Node, List[Node]] = {}
-    for u, v, _, _ in edges:
+    first: Dict[Tuple[Node, Node], object] = {}  # payload of the first u->v edge
+    for u, v, _, payload in edges:
         nodes.update((u, v))
         succ.setdefault(u, []).append(v)
+        first.setdefault((u, v), payload)
 
     components = strongly_connected_components(nodes, succ)
     comp_of = {v: i for i, comp in enumerate(components) for v in comp}
 
     for u, v, w, payload in edges:
         if w > 0 and comp_of[u] == comp_of[v]:
-            return None, _close_cycle(u, v, payload, edges, comp_of)
+            # close the cycle by a shortest path from v back to u
+            parent = bfs_tree(lambda x: succ.get(x, ()), [v], stop=u)
+            path = [u]
+            while path[-1] != v:
+                path.append(parent[path[-1]])
+            path.reverse()
+            return None, [payload] + [first[a, b] for a, b in zip(path, path[1:])]
 
     # condensation is acyclic; components arrive descendants-first, so a
     # single pass computes the best path weight starting in each component
@@ -93,31 +109,6 @@ def weighted_path_bound(edges: Sequence[Tuple[Node, Node, int, object]]):
         for cv, w in comp_edges.get(ci, []):
             best[ci] = max(best[ci], w + best[cv])
     return (max(best) if best else 0), None
-
-
-def _close_cycle(u, v, payload, edges, comp_of):
-    """Path of payloads from v back to u inside their common component,
-    prefixed by the u->v edge payload."""
-    if u == v:
-        return [payload]
-    comp = comp_of[u]
-    prev: Dict[Node, Tuple[Node, object]] = {v: None}
-    queue = deque([v])
-    while queue:
-        x = queue.popleft()
-        if x == u:
-            break
-        for a, b, _, pl in edges:
-            if a == x and comp_of[b] == comp and b not in prev:
-                prev[b] = (x, pl)
-                queue.append(b)
-    path = []
-    x = u
-    while prev[x] is not None:
-        x, pl = prev[x]
-        path.append(pl)
-    path.reverse()
-    return [payload] + path
 
 
 def fundamental_cycle(adjacency: Dict[Node, Set[Node]]) -> Optional[List[Node]]:
@@ -173,18 +164,48 @@ def fundamental_cycle(adjacency: Dict[Node, Set[Node]]) -> Optional[List[Node]]:
 
 
 def bfs_distances(
-    adjacency: Dict[Node, Iterable[Node]],
+    neighbors: Neighbors,
     sources: Iterable[Node],
-    blocked: Optional[Set[Node]] = None,
+    blocked: Collection[Node] = (),
+    max_depth: Optional[int] = None,
+    max_vertices: Optional[int] = None,
 ) -> Dict[Node, int]:
-    """Unweighted distances from any source, skipping blocked vertices."""
-    blocked = blocked or set()
+    """Unweighted distances from the nearest source, in discovery order.
+    Blocked vertices are never entered, vertices at `max_depth` are not
+    expanded, and CapExceeded is raised once more than `max_vertices`
+    vertices are reached."""
+    depth_limit = inf if max_depth is None else max_depth
+    size_limit = inf if max_vertices is None else max_vertices
     dist = {s: 0 for s in sources if s not in blocked}
     queue = deque(dist)
     while queue:
+        if len(dist) > size_limit:  # every reached vertex is queued, so this sees each growth
+            raise CapExceeded(f"search exceeds {max_vertices} vertices")
         v = queue.popleft()
-        for w in adjacency.get(v, ()):
+        d = dist[v] + 1
+        if d > depth_limit:
+            continue
+        for w in neighbors(v):
             if w not in dist and w not in blocked:
-                dist[w] = dist[v] + 1
+                dist[w] = d
                 queue.append(w)
     return dist
+
+
+def bfs_tree(neighbors: Neighbors, sources: Iterable[Node], stop: Optional[Node] = None) -> Dict[Node, Optional[Node]]:
+    """Breadth-first parent map: sources map to None, every other vertex
+    reached to the vertex that discovered it.  The search ends as soon as
+    `stop` is reached, so a path to it is read off by following parents."""
+    parent: Dict[Node, Optional[Node]] = dict.fromkeys(sources)
+    if stop in parent:
+        return parent
+    queue = deque(parent)
+    while queue:
+        v = queue.popleft()
+        for w in neighbors(v):
+            if w not in parent:
+                parent[w] = v
+                if w == stop:
+                    return parent
+                queue.append(w)
+    return parent

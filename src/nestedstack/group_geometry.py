@@ -10,9 +10,10 @@ Cayley graphs are treated as undirected for metric purposes.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+
+from .graphs import CapExceeded, bfs_distances, bfs_tree
 
 Word = Sequence[str]
 
@@ -46,8 +47,9 @@ class GroupOracle:
             g = self.mult(g, a)
         return g
 
-    def is_identity(self, word: Word) -> bool:
-        return self.canonical(word) == self.identity
+    def _neighbors(self, element) -> List[object]:
+        """Cayley-graph neighbours: `element` times each generator."""
+        return [self.mult(element, a) for a in self.generators]
 
     def invert_word(self, word: Word) -> Tuple[str, ...]:
         return tuple(self.inverse_letter(a) for a in reversed(word))
@@ -193,15 +195,7 @@ class FiniteGroup(GroupOracle):
         return pairing
 
     def _bfs_norms(self) -> Dict[str, int]:
-        norms = {self.identity: 0}
-        queue = deque([self.identity])
-        while queue:
-            g = queue.popleft()
-            for letter in self.generators:
-                h = self.mult(g, letter)
-                if h not in norms:
-                    norms[h] = norms[g] + 1
-                    queue.append(h)
+        norms = bfs_distances(self._neighbors, [self.identity])
         if len(norms) != len(self.elements):
             raise ValueError("generators do not generate the whole group")
         return norms
@@ -382,8 +376,7 @@ class CayleyWindow(_CayleyWindowFields):
         cached = self._neighbor_cache.get(v)
         if cached is None:
             seen: List[object] = []
-            for letter in self.oracle.generators:
-                w = self.oracle.mult(v, letter)
+            for w in self.oracle._neighbors(v):
                 if w in self.dist and w not in seen and w != v:
                     seen.append(w)
             self._neighbor_cache[v] = cached = seen
@@ -396,19 +389,10 @@ def ball(oracle: GroupOracle, center: Word, radius: int, max_vertices: int = 2_0
     if radius < 0:
         raise ValueError("radius must be non-negative")
     c = oracle.canonical(tuple(center))
-    dist = {c: 0}
-    queue = deque([c])
-    while queue:
-        g = queue.popleft()
-        if dist[g] == radius:
-            continue
-        for letter in oracle.generators:
-            h = oracle.mult(g, letter)
-            if h not in dist:
-                if len(dist) >= max_vertices:
-                    raise WindowCapExceeded(f"ball exceeds {max_vertices} vertices")
-                dist[h] = dist[g] + 1
-                queue.append(h)
+    try:
+        dist = bfs_distances(oracle._neighbors, [c], max_depth=radius, max_vertices=max_vertices)
+    except CapExceeded:
+        raise WindowCapExceeded(f"ball exceeds {max_vertices} vertices") from None
     return CayleyWindow(oracle, c, radius, dist)
 
 
@@ -451,55 +435,36 @@ def _vertex_max_flow(neighbors, interior: Set[object], source_side: Set[object],
     def sink_adjacent(v):
         return any(w in sink_side for w in neighbors(v))
 
-    def residual_search():
-        """BFS over implicit residual states ("in", v) / ("out", v); returns
-        the predecessor map, containing _SINK when an augmenting path exists."""
-        prev = {}
-        queue = deque()
-        for v in source_adjacent:
-            state = ("in", v)
-            if state not in prev:
-                prev[state] = _SOURCE
-                queue.append(state)
-        while queue:
-            state = queue.popleft()
-            kind, v = state
-            outs = []
-            if kind == "in":
-                if v not in used:
-                    outs.append(("out", v))
-                u = flow_prev.get(v)
-                if u is not None and u is not _SOURCE:
-                    outs.append(("out", u))  # cancel the flow edge u -> v
-            else:
-                if v in used:
-                    outs.append(("in", v))  # cancel the unit through v
-                for w in neighbors(v):
-                    if w in interior:
-                        outs.append(("in", w))
-                if sink_adjacent(v):
-                    prev[_SINK] = state
-                    return prev
-            for nxt in outs:
-                if nxt not in prev:
-                    prev[nxt] = state
-                    queue.append(nxt)
-        return prev
+    def residual_arcs(state):
+        """Arcs out of an implicit residual state ("in", v) / ("out", v);
+        an out-state next to the sink block has the arc to _SINK alone."""
+        kind, v = state
+        if kind == "in":
+            arcs = [] if v in used else [("out", v)]
+            u = flow_prev.get(v)
+            if u is not None and u is not _SOURCE:
+                arcs.append(("out", u))  # cancel the flow edge u -> v
+            return arcs
+        if sink_adjacent(v):
+            return [_SINK]
+        arcs = [("in", v)] if v in used else []  # cancel the unit through v
+        arcs += [("in", w) for w in neighbors(v) if w in interior]
+        return arcs
 
+    sources = [("in", v) for v in source_adjacent]
     flow_value = 0
     while True:
-        prev = residual_search()
+        prev = bfs_tree(residual_arcs, sources, stop=_SINK)
         if _SINK not in prev:
             break  # `prev` is now the residual reachability from the source
         # collect the augmenting path, then apply it to the flow maps
         states = [_SINK]
-        while states[-1] is not _SOURCE:
+        while prev[states[-1]] is not None:
             states.append(prev[states[-1]])
         states.reverse()
+        flow_prev[states[0][1]] = _SOURCE
         for a, b in zip(states, states[1:]):
-            if a is _SOURCE:
-                flow_prev[b[1]] = _SOURCE
-            elif b is _SINK:
+            if b is _SINK:
                 flow_next[a[1]] = _SINK
             elif a[1] == b[1]:
                 if a[0] == "in":
@@ -565,16 +530,8 @@ def min_separator(
     if flow_value != len(paths):
         raise RuntimeError("flow decomposition lost a path")
     # removing the cut must disconnect the balls inside the window
-    cut_set = set(cut)
-    reach = set(set1)
-    queue = deque(set1)
-    while queue:
-        v = queue.popleft()
-        for w in window.neighbors(v):
-            if w not in reach and w not in cut_set:
-                reach.add(w)
-                queue.append(w)
-    if reach & set2:
+    reach = bfs_distances(window.neighbors, set1, blocked=set(cut))
+    if not set2.isdisjoint(reach):
         raise RuntimeError("cut fails to separate the balls")
 
     boundary = window.boundary
@@ -666,39 +623,20 @@ def ends_probe(oracle: GroupOracle, radius: int, window_radius: int, max_vertice
         raise ValueError("window must exceed the removed ball by more than 2")
     window = ball(oracle, (), window_radius, max_vertices)
     removed = {v for v, d in window.dist.items() if d <= radius}
-    remaining = [v for v in window.vertices if v not in removed]
-    seen: Set[object] = set()
+    seen = set(removed)
+    components = []
+    for start in window.vertices:
+        if start not in seen:
+            components.append(bfs_distances(window.neighbors, [start], blocked=removed))
+            seen.update(components[-1])
     boundary = window.boundary
-    touching = 0
-    finite = 0
-    sizes: List[int] = []
-    for start in remaining:
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        stack = [start]
-        touches = False
-        while stack:
-            v = stack.pop()
-            if v in boundary:
-                touches = True
-            for w in window.neighbors(v):
-                if w not in seen and w not in removed:
-                    seen.add(w)
-                    stack.append(w)
-                    component.append(w)
-        sizes.append(len(component))
-        if touches:
-            touching += 1
-        else:
-            finite += 1
+    finite = sum(boundary.isdisjoint(component) for component in components)
     return EndsReport(
         radius=radius,
         window_radius=window_radius,
-        boundary_components=touching,
+        boundary_components=len(components) - finite,
         finite_components=finite,
-        component_sizes=tuple(sorted(sizes, reverse=True)),
+        component_sizes=tuple(sorted(map(len, components), reverse=True)),
     )
 
 
@@ -751,18 +689,7 @@ def qi_check(
     if density_window is not None:
         window = ball(target, (), density_window)
         images = {target.canonical(y) for _, y in samples}
-        frontier = set(images) & set(window.dist)
-        covered = set(frontier)
-        for _ in range(int(k)):
-            if not frontier:
-                break
-            nxt = set()
-            for g in frontier:
-                for h in window.neighbors(g):
-                    if h not in covered:
-                        covered.add(h)
-                        nxt.add(h)
-            frontier = nxt
+        covered = bfs_distances(window.neighbors, [g for g in images if g in window.dist], max_depth=int(k))
         for v in window.vertices:
             if v not in covered:
                 violations.append(

@@ -398,13 +398,3 @@ def validate(tree: MemoryTree) -> List[str]:
         out.append("distinguished vertex off the root-to-latest path")
     return out
 
-
-def tree_lines(tree: MemoryTree) -> str:
-    """Edge-list dump for debugging: one `parent child label` line per edge,
-    with `*` flagging the distinguished vertex.  Not a stable wire format."""
-    parents, labels = tuple(tree.parents), tuple(tree.labels)
-    lines = [f"# {len(parents)} vertices, distinguished {tree.distinguished}"]
-    for i in range(1, len(parents)):
-        star = " *" if i == tree.distinguished else ""
-        lines.append(f"{parents[i]} {i} {labels[i]}{star}")
-    return "\n".join(lines)

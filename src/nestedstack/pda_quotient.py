@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .config_graph import ConfigGraph, Configuration
+from .config_graph import ConfigGraph, Configuration, dot_quote
 from .graphs import bfs_distances, fundamental_cycle
 from .machine import Machine
 from .memory_tree import MemoryTree
@@ -31,69 +31,40 @@ def _branch(tree: MemoryTree) -> Tuple[str, ...]:
     return labels
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-
 def nonerasing_classes(cg: ConfigGraph) -> List[List[Configuration]]:
     """Partition of the explored configurations: two configurations with
     tree T merge when an undirected explored path joins them along which
     every tree extends T.
 
     Computed directly per tree value by filtered connectivity; the explored
-    graph is the semantics here, so no symbolic shortcut is taken."""
+    graph is the semantics here, so no symbolic shortcut is taken.  Every
+    configuration has one branch, and within a branch the relation is
+    already transitive, so each filtered component holds exactly one class:
+    the members of its branch that it reaches."""
     if not is_pushdown(cg.machine):
         raise ValueError("tree quotient is defined for pushdown machines only")
+    branch_of = {v: _branch(v.tree) for v in cg.vertices}
     by_branch: Dict[Tuple[str, ...], List[Configuration]] = {}
     for v in cg.vertices:
-        by_branch.setdefault(_branch(v.tree), []).append(v)
+        by_branch.setdefault(branch_of[v], []).append(v)
 
     undirected = cg.undirected_adjacency()
-    uf = _UnionFind(cg.vertices)
+    order = {v: i for i, v in enumerate(cg.vertices)}
+    classes: List[List[Configuration]] = []
     for branch, members in by_branch.items():
         if len(members) < 2:
+            classes.append(members)
             continue
         k = len(branch)
-        allowed = {v for v in cg.vertices if _branch(v.tree)[:k] == branch}
-        seen: Set[Configuration] = set()
+        blocked = {v for v in cg.vertices if branch_of[v][:k] != branch}
+        placed: Set[Configuration] = set()
         for start in members:
-            if start in seen:
-                continue
-            component = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in undirected[x]:
-                    if y in allowed and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-                        component.append(y)
-            reps = [v for v in component if v in members]
-            for other in reps[1:]:
-                uf.union(reps[0], other)
-
-    groups: Dict[Configuration, List[Configuration]] = {}
-    for v in cg.vertices:
-        groups.setdefault(uf.find(v), []).append(v)
-    order = {v: i for i, v in enumerate(cg.vertices)}
-    classes = sorted(groups.values(), key=lambda c: min(order[v] for v in c))
-    for cls in classes:
-        cls.sort(key=lambda v: order[v])
+            if start not in placed:
+                reached = bfs_distances(undirected.__getitem__, [start], blocked)
+                cls = sorted((v for v in reached if branch_of[v] == branch), key=order.__getitem__)
+                placed.update(cls)
+                classes.append(cls)
+    classes.sort(key=lambda cls: order[cls[0]])
     return classes
 
 
@@ -124,7 +95,7 @@ def quotient(cg: ConfigGraph, classes: List[List[Configuration]]) -> QuotientGra
         worst = 0
         targets = set(cls)
         for v in cls:
-            dist = bfs_distances(undirected, [v])
+            dist = bfs_distances(undirected.__getitem__, [v])
             worst = max(worst, max(dist.get(w, 0) for w in targets))
         diameters.append(worst)
     return QuotientGraph(classes, class_of, edges, diameters)
@@ -153,7 +124,7 @@ def quotient_dot(q: QuotientGraph) -> str:
     for i, cls in enumerate(q.classes):
         states = ",".join(v.state for v in cls)
         tree = str(cls[0].tree)
-        lines.append(f'  c{i} [label="[{states}] {tree}"];')
+        lines.append(f"  c{i} [label={dot_quote(f'[{states}] {tree}')}];")
     for i, j in sorted(q.edges):
         lines.append(f"  c{i} -- c{j};")
     lines.append("}")

@@ -208,6 +208,47 @@ def test_pda_quotient_writes_dot(capsys, tmp_path):
     assert dot.read_text().startswith("graph quotient")
 
 
+# a quote and a backslash in a state id, an input letter and a memory symbol
+SPECIAL = [
+    'states: 1\nstart: 1\nfinal: 1\ninput: a"b\nmemory: x"y\nedge: 1 1 push x"y a"b\n',
+    'states: 1 q\\\nstart: 1\nfinal: 1\ninput: a\\"\nmemory: \\x y"\n'
+    'edge: 1 q\\ push \\x a\\"\nedge: q\\ 1 push y" a\\"\nedge: q\\ 1 pop \\x eps\n',
+]
+
+
+def dot_labels(text):
+    """Every `label=` value in `text`, unescaped; each must be one DOT
+    double-quoted string."""
+    labels = []
+    for line in text.splitlines():
+        if "label=" in line:
+            match = re.search(r'\[label=("(?:[^"\\]|\\.)*")[,\]]', line)
+            assert match, line
+            labels.append(re.sub(r"\\(.)", r"\1", match.group(1)[1:-1]))
+    return labels
+
+
+@pytest.mark.parametrize("text", SPECIAL, ids=["quote", "backslash"])
+def test_dot_labels_are_escaped(capsys, tmp_path, text):
+    from nestedstack.config_graph import BuildHorizon, build, vertex_namer
+    from nestedstack.pda_quotient import nonerasing_classes
+
+    path = tmp_path / "special.nsa"
+    path.write_text(text)
+    machine = parse_machine(text)
+    cg = build(machine, BuildHorizon(max_tree_edges=1))
+    name = vertex_namer(machine)
+    code, out, _ = run(capsys, "cg", "dot", "--machine", str(path), "--horizon", "1")
+    assert code == 0
+    assert dot_labels(out) == [name(v) for v in cg.vertices] + [label or "ε" for _, _, label in cg.edges]
+
+    dot = tmp_path / "q.dot"
+    code, _, _ = run(capsys, "pda", "quotient", "--machine", str(path), "--horizon", "1", "--dot", str(dot))
+    assert code == 0
+    classes = nonerasing_classes(cg)
+    assert dot_labels(dot.read_text()) == [f"[{','.join(v.state for v in c)}] {c[0].tree}" for c in classes]
+
+
 def test_group_commands(capsys):
     code, out, _ = run(capsys, "group", "ends", "--group", "abelian 1", "--radius", "3", "--window", "10")
     assert code == 0

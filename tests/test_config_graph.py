@@ -70,12 +70,12 @@ def test_build_no_edges_machine():
         )
         cg = build(machine, BuildHorizon())
         assert len(cg.vertices) == 1
-        assert cg.is_coaccessible_within_horizon(cg.initial) is expected
+        assert (cg.initial in cg.coaccessible) is expected
 
 
 def test_initial_coaccessible_in_quad(quad):
     cg = build(quad, BuildHorizon(max_tree_edges=4))
-    assert cg.is_coaccessible_within_horizon(cg.initial)
+    assert cg.initial in cg.coaccessible
 
 
 def test_vertex_name_conventions(quad):

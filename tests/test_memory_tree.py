@@ -13,7 +13,6 @@ from nestedstack.memory_tree import (
     empty_tree,
     pop,
     push,
-    tree_lines,
     up,
     validate,
 )
@@ -113,13 +112,6 @@ def test_validate_flags_non_dfs_order():
 def test_validate_flags_label_problems():
     assert validate(MemoryTree((-1, 0), (EPSILON, EPSILON), 1))
     assert validate(MemoryTree((-1, 0), ("x", "y"), 1))
-
-
-def test_tree_lines_marks_distinguished():
-    t = apply_word([push("y"), push("x"), down("x")], empty_tree())
-    dump = tree_lines(t)
-    assert "0 1 y *" in dump
-    assert "1 2 x" in dump
 
 
 # --- properties over random trees ---------------------------------------

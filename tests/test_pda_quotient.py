@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import FIXTURES, free_group_wp_machine, load_machine
 from nestedstack.config_graph import BuildHorizon, build
-from nestedstack.machine import parse_machine
+from nestedstack.machine import Edge, Machine, parse_machine
 from nestedstack.pda_quotient import (
     check_tree,
     is_pushdown,
@@ -10,7 +12,8 @@ from nestedstack.pda_quotient import (
     quotient_dot,
     quotient_distortion,
 )
-from nestedstack.memory_tree import empty_tree
+from nestedstack.memory_tree import EPSILON, STAY, empty_tree, pop, push
+from quotient_oracle import nonerasing_classes as union_find_classes
 
 
 def classes_at(machine, cap):
@@ -114,3 +117,49 @@ def test_quotient_dot_deterministic(anbn):
     _, _, q2 = classes_at(anbn, 6)
     assert quotient_dot(q1) == quotient_dot(q2)
     assert "--" in quotient_dot(q1)
+
+
+# --- the classes against the union-find oracle ----------------------------------
+
+FIXTURE_MACHINES = {p.name: load_machine(p.name) for p in sorted(FIXTURES.glob("*.nsa"))}
+PUSHDOWN_MACHINES = {name: m for name, m in FIXTURE_MACHINES.items() if is_pushdown(m)}
+PUSHDOWN_MACHINES["free2-word-problem"] = free_group_wp_machine(2)
+
+
+@pytest.mark.parametrize("name", sorted(PUSHDOWN_MACHINES))
+def test_classes_match_union_find_oracle_on_fixtures(name):
+    machine = PUSHDOWN_MACHINES[name]
+    for cap in range(13):
+        cg = build(machine, BuildHorizon(max_tree_edges=cap, max_vertices=20_000))
+        assert nonerasing_classes(cg) == union_find_classes(cg), cap
+
+
+def test_every_pushdown_fixture_is_compared():
+    assert {"anbn.nsa", "dyck2.nsa", "popcycle.nsa", "xyblock.nsa", "zcount.nsa"} <= set(PUSHDOWN_MACHINES)
+
+
+PUSHDOWN_OPS = (push("x"), push("y"), pop("x"), pop("y"), STAY)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    states=st.integers(2, 3),
+    rows=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(PUSHDOWN_OPS), st.sampled_from(["a", EPSILON])),
+        max_size=10,
+    ),
+    cap=st.integers(0, 6),
+)
+def test_classes_match_union_find_oracle_on_random_machines(states, rows, cap):
+    names = tuple(str(i) for i in range(states))
+    edges = tuple(dict.fromkeys(Edge(names[a % states], names[b % states], op, x) for a, b, op, x in rows))
+    machine = Machine(
+        states=names,
+        initial="0",
+        finals=frozenset({names[-1]}),
+        input_alphabet=frozenset({"a"}),
+        memory_alphabet=frozenset({"x", "y"}),
+        edges=edges,
+    )
+    cg = build(machine, BuildHorizon(max_tree_edges=cap))
+    assert nonerasing_classes(cg) == union_find_classes(cg)

@@ -24,7 +24,7 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 MACHINE = {"machine", "memory_tree"}
 GRAPH = MACHINE | {"config_graph", "graphs"}
-GROUP = MACHINE | {"group_geometry"}
+GROUP = MACHINE | {"group_geometry", "graphs"}
 
 # command -> (golden case, the nestedstack submodules it may load)
 STARTUP = {
@@ -123,6 +123,23 @@ def test_no_source_module_imports_dataclasses():
             else:
                 continue
             assert not {n.split(".")[0] for n in names} & HEAVY, f"{path.name}:{node.lineno}"
+
+
+def test_only_graphs_and_machine_import_deque():
+    # every graph search goes through `graphs`; `machine` keeps its own
+    # search drivers, which track their own keys and caps
+    users = set()
+    for path in sorted((ROOT / "src" / "nestedstack").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "collections":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}  # `collections.deque` counts too
+            else:
+                continue
+            if names & {"deque", "collections"}:
+                users.add(path.name)
+    assert "graphs.py" in users and users <= {"graphs.py", "machine.py"}
 
 
 def test_public_names_resolve_to_the_submodule_objects():
