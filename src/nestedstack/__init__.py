@@ -19,7 +19,7 @@ _EXPORTS = {
         "Machine", "MachineError", "MachineParseError", "ResourceCaps", "accepts",
         "check_deterministic", "check_limited_erasing", "deterministic_run",
         "enumerate_accepted", "format_machine", "parse_machine", "parse_word",
-        "run_trace", "step", "successors",
+        "run_trace", "successors",
     ),
     "hom": ("Homomorphism", "parse_homomorphism", "preimage", "publish_reserved_names"),
     "config_graph": (

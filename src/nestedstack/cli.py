@@ -263,7 +263,7 @@ def cmd_cg_build(args, machine):
     from . import config_graph as cgmod
 
     cg = cgmod.build(machine, _horizon(args))
-    co = sum(1 for v in cg.vertices if v in cg.coaccessible)
+    co = len(cg.coaccessible)
     payload = {
         "command": "cg build",
         "vertices": len(cg.vertices),

@@ -9,7 +9,7 @@ every report carries that horizon.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .graphs import bfs_distances, weighted_path_bound
 from .machine import Machine, ResourceCaps, deterministic_run, successors
@@ -71,36 +71,38 @@ class BuildHorizon(NamedTuple):
 
 
 class ConfigGraph(NamedTuple):
+    """The explored graph.  A configuration's id is its index in `vertices`
+    (discovery order, so the initial configuration is 0); `edges` holds
+    (src_id, dst_id, letter) triples without repeats, in discovery order;
+    `parent[i]` is the (id, letter) step that discovered vertex i (None for
+    0); `coaccessible` is a set of ids."""
+
     machine: Machine
-    initial: Configuration
-    vertices: List[Configuration]  # discovery order
-    edges: List[Tuple[Configuration, Configuration, str]]
-    discovery: Dict[Configuration, Optional[Tuple[Configuration, str]]]
-    coaccessible: Set[Configuration]
+    vertices: List[Configuration]
+    edges: List[Tuple[int, int, str]]
+    parent: List[Optional[Tuple[int, str]]]
+    coaccessible: Set[int]
     horizon: BuildHorizon
     truncated: bool
 
-    def discovery_word(self, config: Configuration) -> Tuple[str, ...]:
-        """Non-silent labels along the breadth-first discovery path."""
+    def discovery_word(self, v: int) -> Tuple[str, ...]:
+        """Non-silent labels along the breadth-first discovery path to id `v`."""
         labels: List[str] = []
-        cur = config
-        while True:
-            prev = self.discovery[cur]
-            if prev is None:
-                break
-            cur, label = prev
+        while self.parent[v] is not None:
+            v, label = self.parent[v]
             if label != EPSILON:
                 labels.append(label)
         labels.reverse()
         return tuple(labels)
 
-    def undirected_adjacency(self) -> Dict[Configuration, Set[Configuration]]:
-        adj: Dict[Configuration, Set[Configuration]] = {v: set() for v in self.vertices}
+    def undirected_adjacency(self) -> List[List[int]]:
+        """The neighbour ids of each vertex, ascending, without loops or repeats."""
+        adj: List[Set[int]] = [set() for _ in self.vertices]
         for src, dst, _ in self.edges:
             if src != dst:
                 adj[src].add(dst)
                 adj[dst].add(src)
-        return adj
+        return [sorted(ns) for ns in adj]
 
 
 def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGraph:
@@ -108,44 +110,45 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
 
     Stored vertices are exactly those reachable within the horizon;
     co-accessibility is backward reachability from explored accepting
-    configurations, restricted to the explored graph."""
-    initial = Configuration(machine.initial, empty_tree())
-    discovery: Dict[Configuration, Optional[Tuple[Configuration, str]]] = {initial: None}
-    depth = {initial: 0}
-    vertices = [initial]
-    edges: List[Tuple[Configuration, Configuration, str]] = []
-    edge_seen: Set[Tuple[Configuration, Configuration, str]] = set()
+    configurations, restricted to the explored graph.  The id map built
+    here is the only place configurations are hashed."""
+    vertices = [Configuration(machine.initial, empty_tree())]
+    ids = {vertices[0]: 0}
+    parent: List[Optional[Tuple[int, str]]] = [None]
+    depth = [0]
+    edges: List[Tuple[int, int, str]] = []
     truncated = False
 
-    for cfg in vertices:  # breadth-first: the loop reaches vertices as they are appended
-        if horizon.max_depth is not None and depth[cfg] >= horizon.max_depth:
+    for v, cfg in enumerate(vertices):  # breadth-first: the loop reaches vertices as they are appended
+        if horizon.max_depth is not None and depth[v] >= horizon.max_depth:
             truncated = True
             continue
+        out = []
         for e, t2 in successors(machine, cfg.state, cfg.tree, None):
             if t2.edge_count > horizon.max_tree_edges:
                 truncated = True
                 continue
             nxt = Configuration(e.dst, t2)
-            if nxt not in discovery:
+            w = ids.get(nxt)
+            if w is None:
                 if len(vertices) >= horizon.max_vertices:
                     truncated = True
                     continue
-                discovery[nxt] = (cfg, e.letter)
-                depth[nxt] = depth[cfg] + 1
+                w = ids[nxt] = len(vertices)
                 vertices.append(nxt)
-            key = (cfg, nxt, e.letter)
-            if key not in edge_seen:
-                edge_seen.add(key)
-                edges.append(key)
+                parent.append((v, e.letter))
+                depth.append(depth[v] + 1)
+            out.append((v, w, e.letter))
+        edges += dict.fromkeys(out)  # every outedge of v arises here, so this drops all repeats
 
     empty = empty_tree()
-    accepting = [v for v in vertices if v.state in machine.finals and v.tree == empty]
-    back: Dict[Configuration, List[Configuration]] = {v: [] for v in vertices}
+    accepting = [i for i, v in enumerate(vertices) if v.state in machine.finals and v.tree == empty]
+    back: List[List[int]] = [[] for _ in vertices]
     for src, dst, _ in edges:
         back[dst].append(src)
     coaccessible = set(bfs_distances(back.__getitem__, accepting))
 
-    return ConfigGraph(machine, initial, vertices, edges, discovery, coaccessible, horizon, truncated)
+    return ConfigGraph(machine, vertices, edges, parent, coaccessible, horizon, truncated)
 
 
 class DegreeViolation(NamedTuple):
@@ -160,17 +163,14 @@ def check_degrees(cg: ConfigGraph) -> Optional[DegreeViolation]:
     For machines that passed the determinism check this must hold; a
     violation indicates a bug in that check, which is why this
     cross-validation runs on concrete configurations."""
-    outs: Dict[Configuration, List[Tuple[Configuration, Configuration, str]]] = {}
+    outs: List[List[Tuple[int, int, str]]] = [[] for _ in cg.vertices]
     for edge in cg.edges:
-        outs.setdefault(edge[0], []).append(edge)
-    for v in cg.vertices:
-        here = outs.get(v, [])
-        eps = [e for e in here if e[2] == EPSILON]
-        if eps and len(here) > 1:
-            return DegreeViolation(v, tuple(here))
-        letters = [e[2] for e in here if e[2] != EPSILON]
-        if len(letters) != len(set(letters)):
-            return DegreeViolation(v, tuple(here))
+        outs[edge[0]].append(edge)
+    for v, here in enumerate(outs):
+        letters = [label for _, _, label in here]
+        if (EPSILON in letters and len(here) > 1) or len(letters) != len(set(letters)):
+            named = tuple((cg.vertices[a], cg.vertices[b], label) for a, b, label in here)
+            return DegreeViolation(cg.vertices[v], named)
     return None
 
 
@@ -208,7 +208,7 @@ class ProjectionViolation(NamedTuple):
 
 
 class ProjectionReport(NamedTuple):
-    images: Dict[Configuration, object]
+    images: List[object]  # by configuration id
     violations: List[ProjectionViolation]
 
     @property
@@ -226,15 +226,9 @@ def project(cg: ConfigGraph, oracle) -> ProjectionReport:
     if unknown:
         raise ValueError(f"machine letters are not group generators: {sorted(unknown)}")
 
-    images: Dict[Configuration, object] = {}
-    for v in cg.vertices:  # discovery order: parents come first
-        prev = cg.discovery[v]
-        if prev is None:
-            images[v] = oracle.identity
-        else:
-            parent, label = prev
-            g = images[parent]
-            images[v] = g if label == EPSILON else oracle.mult(g, label)
+    images: List[object] = [oracle.identity]
+    for p, label in cg.parent[1:]:  # discovery order: parents come first
+        images.append(images[p] if label == EPSILON else oracle.mult(images[p], label))
 
     violations: List[ProjectionViolation] = []
     for src, dst, label in cg.edges:
@@ -243,7 +237,7 @@ def project(cg: ConfigGraph, oracle) -> ProjectionReport:
             via_edge = cg.discovery_word(src) + ((label,) if label != EPSILON else ())
             violations.append(
                 ProjectionViolation(
-                    edge=(src, dst, label),
+                    edge=(cg.vertices[src], cg.vertices[dst], label),
                     via_discovery=cg.discovery_word(dst),
                     via_edge=via_edge,
                     image_discovery=images[dst],
@@ -295,7 +289,6 @@ def dot_quote(text: str) -> str:
 
 def export_dot(cg: ConfigGraph) -> str:
     """Deterministic DOT rendering of the explored configuration graph."""
-    index = {v: i for i, v in enumerate(cg.vertices)}
     name = vertex_namer(cg.machine)
     lines = [
         "digraph config_graph {",
@@ -303,15 +296,15 @@ def export_dot(cg: ConfigGraph) -> str:
         f"  // horizon: tree edges <= {cg.horizon.max_tree_edges},"
         f" vertices <= {cg.horizon.max_vertices}, truncated: {str(cg.truncated).lower()}",
     ]
-    for v in cg.vertices:
+    for i, v in enumerate(cg.vertices):
         attrs = [f"label={dot_quote(name(v))}"]
-        if v == cg.initial:
+        if i == 0:
             attrs.append("penwidth=2")
-        if v in cg.coaccessible:
+        if i in cg.coaccessible:
             attrs.append('color="blue"')
-        lines.append(f"  n{index[v]} [{', '.join(attrs)}];")
+        lines.append(f"  n{i} [{', '.join(attrs)}];")
     for src, dst, label in cg.edges:
         text = label or "ε"
-        lines.append(f"  n{index[src]} -> n{index[dst]} [label={dot_quote(text)}];")
+        lines.append(f"  n{src} -> n{dst} [label={dot_quote(text)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

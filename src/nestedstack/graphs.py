@@ -111,55 +111,33 @@ def weighted_path_bound(edges: Sequence[Tuple[Node, Node, int, object]]):
     return (max(best) if best else 0), None
 
 
-def fundamental_cycle(adjacency: Dict[Node, Set[Node]]) -> Optional[List[Node]]:
-    """A simple cycle of an undirected simple graph as a vertex list, or
-    None when the graph is a forest.
+def fundamental_cycle(adjacency: Sequence[Iterable[int]]) -> Optional[List[int]]:
+    """A simple cycle of a loop-free undirected graph as a vertex list, or
+    None when the graph is a forest.  The neighbours of vertex i are
+    `adjacency[i]`, in any order and possibly repeated.
 
-    Builds a BFS spanning forest and closes each non-tree edge through the
-    lowest common ancestor; the longest such cycle is returned, which gives
-    informative witnesses on grid-like graphs."""
-    parent: Dict[Node, Optional[Node]] = {}
-    depth: Dict[Node, int] = {}
-    extra: List[Tuple[Node, Node]] = []
-    seen_edges: Set[frozenset] = set()
+    Grows a breadth-first tree from each vertex not yet reached and closes
+    each non-tree edge, taken once from the endpoint reached first, through
+    the lowest common ancestor; the longest such cycle is returned, which
+    gives informative witnesses on grid-like graphs."""
+    parent: Dict[int, Optional[int]] = {}
+    for root in range(len(adjacency)):
+        if root not in parent:
+            parent.update(bfs_tree(adjacency.__getitem__, [root]))
+    rank = {v: i for i, v in enumerate(parent)}  # a parent ranks before its children
 
-    for root in adjacency:
-        if root in parent:
-            continue
-        parent[root] = None
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(adjacency[v], key=repr):
-                key = frozenset((v, w))
-                if key in seen_edges:
-                    continue
-                seen_edges.add(key)
-                if w not in parent:
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    queue.append(w)
-                else:
-                    extra.append((v, w))
-
-    best: Optional[List[Node]] = None
-    for v, w in extra:
-        a, b = v, w
-        left, right = [a], [b]
-        while depth[a] > depth[b]:
-            a = parent[a]
-            left.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            right.append(b)
-        while a != b:
-            a, b = parent[a], parent[b]
-            left.append(a)
-            right.append(b)
-        cycle = left + right[-2::-1]  # meet at the LCA once
-        if best is None or len(cycle) > len(best):
-            best = cycle
+    best: Optional[List[int]] = None
+    for v in parent:
+        for w in adjacency[v]:
+            if rank[v] >= rank[w] or parent[w] == v:
+                continue
+            left, right = [v], [w]
+            while left[-1] != right[-1]:  # the later-reached end is never the LCA: lift it
+                later = left if rank[left[-1]] > rank[right[-1]] else right
+                later.append(parent[later[-1]])
+            cycle = left + right[-2::-1]  # meet at the LCA once
+            if best is None or len(cycle) > len(best):
+                best = cycle
     return best
 
 

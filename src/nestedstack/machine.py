@@ -301,12 +301,6 @@ def successors(
     return out
 
 
-def step(machine: Machine, state: str, tree: MemoryTree, letter: str):
-    """All one-edge successors of (state, tree) whose input component equals
-    `letter` and whose operation is defined on `tree`."""
-    return {(e.dst, t2) for e, t2 in successors(machine, state, tree, letter) if e.letter == letter}
-
-
 def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> AcceptResult:
     """Breadth-first search over (state, tree, position) with deduplication.
 

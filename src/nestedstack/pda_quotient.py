@@ -31,10 +31,11 @@ def _branch(tree: MemoryTree) -> Tuple[str, ...]:
     return labels
 
 
-def nonerasing_classes(cg: ConfigGraph) -> List[List[Configuration]]:
-    """Partition of the explored configurations: two configurations with
+def nonerasing_classes(cg: ConfigGraph) -> List[List[int]]:
+    """Partition of the explored configuration ids: two configurations with
     tree T merge when an undirected explored path joins them along which
-    every tree extends T.
+    every tree extends T.  Classes list their ids ascending and are ordered
+    by their first id.
 
     Computed directly per tree value by filtered connectivity; the explored
     graph is the semantics here, so no symbolic shortcut is taken.  Every
@@ -43,43 +44,46 @@ def nonerasing_classes(cg: ConfigGraph) -> List[List[Configuration]]:
     the members of its branch that it reaches."""
     if not is_pushdown(cg.machine):
         raise ValueError("tree quotient is defined for pushdown machines only")
-    branch_of = {v: _branch(v.tree) for v in cg.vertices}
-    by_branch: Dict[Tuple[str, ...], List[Configuration]] = {}
-    for v in cg.vertices:
-        by_branch.setdefault(branch_of[v], []).append(v)
+    branch_of = [_branch(v.tree) for v in cg.vertices]
+    by_branch: Dict[Tuple[str, ...], List[int]] = {}
+    for v, branch in enumerate(branch_of):
+        by_branch.setdefault(branch, []).append(v)
 
     undirected = cg.undirected_adjacency()
-    order = {v: i for i, v in enumerate(cg.vertices)}
-    classes: List[List[Configuration]] = []
+    classes: List[List[int]] = []
     for branch, members in by_branch.items():
         if len(members) < 2:
             classes.append(members)
             continue
         k = len(branch)
-        blocked = {v for v in cg.vertices if branch_of[v][:k] != branch}
-        placed: Set[Configuration] = set()
+        blocked = {v for v, b in enumerate(branch_of) if b[:k] != branch}
+        placed: Set[int] = set()
         for start in members:
             if start not in placed:
                 reached = bfs_distances(undirected.__getitem__, [start], blocked)
-                cls = sorted((v for v in reached if branch_of[v] == branch), key=order.__getitem__)
+                cls = sorted(v for v in reached if branch_of[v] == branch)
                 placed.update(cls)
                 classes.append(cls)
-    classes.sort(key=lambda cls: order[cls[0]])
+    classes.sort()  # disjoint classes: by first id
     return classes
 
 
 class QuotientGraph(NamedTuple):
-    classes: List[List[Configuration]]
-    class_of: Dict[Configuration, int]
+    classes: List[List[int]]  # configuration ids
+    class_of: List[int]  # the class index of each configuration id
     edges: Set[Tuple[int, int]]  # unordered, stored as (i, j) with i < j
     class_diameters: List[int]
+    vertices: List[Configuration]  # the explored configurations, by id
 
 
-def quotient(cg: ConfigGraph, classes: List[List[Configuration]]) -> QuotientGraph:
+def quotient(cg: ConfigGraph, classes: List[List[int]]) -> QuotientGraph:
     """Simple unoriented graph on the classes: distinct classes are joined
     when any explored edge joins their members; edges inside a class
     project onto its vertex and vanish."""
-    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    class_of = [0] * len(cg.vertices)
+    for i, cls in enumerate(classes):
+        for v in cls:
+            class_of[v] = i
     edges: Set[Tuple[int, int]] = set()
     for src, dst, _ in cg.edges:
         i, j = class_of[src], class_of[dst]
@@ -89,25 +93,31 @@ def quotient(cg: ConfigGraph, classes: List[List[Configuration]]) -> QuotientGra
     undirected = cg.undirected_adjacency()
     diameters = []
     for cls in classes:
-        if len(cls) == 1:
-            diameters.append(0)
-            continue
         worst = 0
-        targets = set(cls)
-        for v in cls:
-            dist = bfs_distances(undirected.__getitem__, [v])
-            worst = max(worst, max(dist.get(w, 0) for w in targets))
+        if len(cls) > 1:  # a lone member needs no search
+            for v in cls:
+                dist = bfs_distances(undirected.__getitem__, [v])
+                worst = max(worst, max(dist.get(w, 0) for w in cls))
         diameters.append(worst)
-    return QuotientGraph(classes, class_of, edges, diameters)
+    return QuotientGraph(classes, class_of, edges, diameters, cg.vertices)
 
 
 def check_tree(q: QuotientGraph) -> Optional[List[int]]:
     """None when the quotient is acyclic (a tree on each explored
-    component), otherwise a simple cycle of class indices as witness."""
-    adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(q.classes))}
-    for i, j in q.edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
+    component), otherwise a simple cycle of class indices as witness.
+
+    On a pushdown machine the quotient is always a forest.  On a cycle of
+    classes, take a class C of deepest tree T.  An explored edge changes the
+    tree by at most its last symbol, and one between two configurations of
+    tree T would have put them in one class, so both neighbours of C on the
+    cycle have tree P, the parent of T.  Through C their members are joined
+    by a path along which every tree extends P, so they are one class, and
+    the cycle cannot exist.  A witness here would mean a defect in the
+    classes, which is what this check guards against."""
+    adjacency: List[List[int]] = [[] for _ in q.classes]
+    for i, j in sorted(q.edges):
+        adjacency[i].append(j)
+        adjacency[j].append(i)
     return fundamental_cycle(adjacency)
 
 
@@ -122,8 +132,8 @@ def quotient_dot(q: QuotientGraph) -> str:
     """Deterministic DOT rendering of the quotient graph."""
     lines = ["graph quotient {", "  rankdir=LR;"]
     for i, cls in enumerate(q.classes):
-        states = ",".join(v.state for v in cls)
-        tree = str(cls[0].tree)
+        states = ",".join(q.vertices[v].state for v in cls)
+        tree = str(q.vertices[cls[0]].tree)
         lines.append(f"  c{i} [label={dot_quote(f'[{states}] {tree}')}];")
     for i, j in sorted(q.edges):
         lines.append(f"  c{i} -- c{j};")

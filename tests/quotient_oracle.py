@@ -1,7 +1,8 @@
 """The tree-quotient classes as computed before `nonerasing_classes` used
 one breadth-first search per class: a filtered depth-first search per
 branch, merged by a union-find.  Kept unchanged as a differential oracle
-for the classes `nestedstack.pda_quotient.nonerasing_classes` returns."""
+for the classes `nestedstack.pda_quotient.nonerasing_classes` returns.
+It works on configurations; ids are translated only on the way in and out."""
 
 from typing import Dict, List, Set, Tuple
 
@@ -27,7 +28,7 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def nonerasing_classes(cg: ConfigGraph) -> List[List[Configuration]]:
+def nonerasing_classes(cg: ConfigGraph) -> List[List[int]]:
     """Partition of the explored configurations: two configurations with
     tree T merge when an undirected explored path joins them along which
     every tree extends T.
@@ -40,7 +41,7 @@ def nonerasing_classes(cg: ConfigGraph) -> List[List[Configuration]]:
     for v in cg.vertices:
         by_branch.setdefault(_branch(v.tree), []).append(v)
 
-    undirected = cg.undirected_adjacency()
+    undirected = {cg.vertices[i]: [cg.vertices[j] for j in ns] for i, ns in enumerate(cg.undirected_adjacency())}
     uf = _UnionFind(cg.vertices)
     for branch, members in by_branch.items():
         if len(members) < 2:
@@ -70,6 +71,4 @@ def nonerasing_classes(cg: ConfigGraph) -> List[List[Configuration]]:
         groups.setdefault(uf.find(v), []).append(v)
     order = {v: i for i, v in enumerate(cg.vertices)}
     classes = sorted(groups.values(), key=lambda c: min(order[v] for v in c))
-    for cls in classes:
-        cls.sort(key=lambda v: order[v])
-    return classes
+    return [sorted(order[v] for v in cls) for cls in classes]

@@ -185,7 +185,7 @@ def test_criterion_4_inverse_homomorphism(quad, xyblock):
 
 def test_criterion_5_configuration_graph(quad):
     cg = build(quad, BuildHorizon(max_tree_edges=4))
-    by_name = {vertex_name(v): v for v in cg.vertices}
+    by_name = {vertex_name(v): i for i, v in enumerate(cg.vertices)}
     chain_ok = all(name in by_name for name in ("ε1", "y2", "yx2", "yxx2"))
     edges = set(cg.edges)
     for src, dst, label in (

@@ -246,7 +246,8 @@ def test_dot_labels_are_escaped(capsys, tmp_path, text):
     code, _, _ = run(capsys, "pda", "quotient", "--machine", str(path), "--horizon", "1", "--dot", str(dot))
     assert code == 0
     classes = nonerasing_classes(cg)
-    assert dot_labels(dot.read_text()) == [f"[{','.join(v.state for v in c)}] {c[0].tree}" for c in classes]
+    at = cg.vertices
+    assert dot_labels(dot.read_text()) == [f"[{','.join(at[v].state for v in c)}] {at[c[0]].tree}" for c in classes]
 
 
 def test_group_commands(capsys):

@@ -1,14 +1,15 @@
 """The searches in `nestedstack.graphs` against `networkx`, on random
 digraphs: breadth-first distances with blocked vertices, depth and size
-caps; breadth-first parent trees with an early stop; and the max-weight
-path bound with its positive-cycle witness."""
+caps; breadth-first parent trees with an early stop; the max-weight path
+bound with its positive-cycle witness; and, on random undirected graphs,
+the fundamental cycle."""
 
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nestedstack.graphs import CapExceeded, bfs_distances, bfs_tree, weighted_path_bound
+from nestedstack.graphs import CapExceeded, bfs_distances, bfs_tree, fundamental_cycle, weighted_path_bound
 
 nx = pytest.importorskip("networkx")
 
@@ -119,3 +120,26 @@ def test_positive_cycle_closes_in_linear_time():
     bound, cycle = weighted_path_bound(ring)
     assert time.perf_counter() - start < 2.0
     assert bound is None and cycle == list(range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=digraphs(max_vertices=10), data=st.data())
+def test_fundamental_cycle_matches_networkx(graph, data):
+    # neighbour lists hold each edge from both ends, shuffled, some repeated
+    n, arcs = graph
+    edges = {frozenset(arc) for arc in arcs if arc[0] != arc[1]}
+    adjacency = [[] for _ in range(n)]
+    for u, v in map(tuple, edges):
+        adjacency[u] += [v] * data.draw(st.integers(1, 2))
+        adjacency[v] += [u] * data.draw(st.integers(1, 2))
+    adjacency = [data.draw(st.permutations(ns)) for ns in adjacency]
+    cycle = fundamental_cycle(adjacency)
+
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(map(tuple, edges))
+    if nx.is_forest(g):
+        assert cycle is None
+    else:
+        assert cycle is not None and len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+        assert all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))  # the closing step too

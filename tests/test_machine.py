@@ -19,7 +19,7 @@ from nestedstack.machine import (
     parse_machine,
     parse_word,
     run_trace,
-    step,
+    successors,
 )
 from nestedstack.memory_tree import (
     EPSILON,
@@ -120,20 +120,20 @@ def test_parse_word_forms():
 
 
 def test_step_silent_edge_from_start(quad):
-    successors = step(quad, "1", empty_tree(), EPSILON)
-    assert len(successors) == 1
-    (state, tree), = successors
-    assert state == "2"
+    (edge, tree), = successors(quad, "1", empty_tree(), EPSILON)
+    assert edge.dst == "2"
     assert tree.branch_labels() == ("y",)
 
 
 def test_step_empty_when_pop_precondition_fails(quad):
     tree_y = apply_word([push("y")], empty_tree())
-    assert step(quad, "4", tree_y, "d") == set()
+    # pop x is undefined on a y leaf: only the silent pop y is left
+    assert [e.letter for e, _ in successors(quad, "4", tree_y, "d")] == [EPSILON]
 
 
 def test_step_empty_on_foreign_letter(quad):
-    assert step(quad, "1", empty_tree(), "z") == set()
+    # no edge reads z, so only the silent edges apply
+    assert [e.letter for e, _ in successors(quad, "1", empty_tree(), "z")] == [EPSILON]
 
 
 @pytest.mark.parametrize(

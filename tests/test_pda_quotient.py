@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,22 +42,22 @@ def test_push_pop_excursion_merges(anbn):
     # the final popping state share a class
     cg, classes, _ = classes_at(anbn, 6)
     empty = empty_tree()
-    merged = next(c for c in classes if any(v.tree == empty for v in c))
-    states = {v.state for v in merged}
+    merged = next(c for c in classes if any(cg.vertices[v].tree == empty for v in c))
+    states = {cg.vertices[v].state for v in merged}
     assert states == {"1", "3"}
 
 
 def test_classes_are_constant_tree(anbn, dyck2):
     for machine in (anbn, dyck2):
-        _, classes, _ = classes_at(machine, 8)
+        cg, classes, _ = classes_at(machine, 8)
         for cls in classes:
-            assert len({v.tree for v in cls}) == 1
+            assert len({cg.vertices[v].tree for v in cls}) == 1
 
 
 def test_different_stack_heights_never_merge(anbn):
-    _, classes, _ = classes_at(anbn, 8)
+    cg, classes, _ = classes_at(anbn, 8)
     for cls in classes:
-        assert len({v.tree.edge_count for v in cls}) == 1
+        assert len({cg.vertices[v].tree.edge_count for v in cls}) == 1
 
 
 def test_quotient_simple_and_connected(anbn):
@@ -119,6 +121,17 @@ def test_quotient_dot_deterministic(anbn):
     assert "--" in quotient_dot(q1)
 
 
+# `pda quotient --dot` files, byte for byte (the CLI goldens cover stdout only)
+QUOTIENT_DOT = {"anbn": 6, "dyck2": 3, "xyblock": 5, "zcount": 6, "popcycle": 4}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_DOT))
+def test_quotient_dot_matches_golden(name):
+    _, _, q = classes_at(load_machine(f"{name}.nsa"), QUOTIENT_DOT[name])
+    golden = Path(__file__).resolve().parent / "golden" / f"quotient_{name}.dot"
+    assert quotient_dot(q).encode("utf-8") == golden.read_bytes()
+
+
 # --- the classes against the union-find oracle ----------------------------------
 
 FIXTURE_MACHINES = {p.name: load_machine(p.name) for p in sorted(FIXTURES.glob("*.nsa"))}
@@ -162,4 +175,7 @@ def test_classes_match_union_find_oracle_on_random_machines(states, rows, cap):
         edges=edges,
     )
     cg = build(machine, BuildHorizon(max_tree_edges=cap))
-    assert nonerasing_classes(cg) == union_find_classes(cg)
+    classes = nonerasing_classes(cg)
+    assert classes == union_find_classes(cg)
+    # a pushdown quotient is always a forest (see `check_tree`)
+    assert check_tree(quotient(cg, classes)) is None
