@@ -129,12 +129,12 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
                 truncated = True
                 continue
             nxt = Configuration(e.dst, t2)
-            w = ids.get(nxt)
-            if w is None:
-                if len(vertices) >= horizon.max_vertices:
+            w = ids.setdefault(nxt, len(vertices))  # one hash of nxt, new or not
+            if w == len(vertices):
+                if w >= horizon.max_vertices:
+                    del ids[nxt]  # ids maps stored vertices only
                     truncated = True
                     continue
-                w = ids[nxt] = len(vertices)
                 vertices.append(nxt)
                 parent.append((v, e.letter))
                 depth.append(depth[v] + 1)
@@ -263,8 +263,8 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
     """The unique path of a deterministic machine from the initial
     configuration whose non-silent labels spell `word`, with forced silent
     moves interleaved.  The lift stops right after the last letter, before
-    any trailing silent run.  Raises NondeterminismDetected if two
-    continuations apply."""
+    any trailing silent run, and takes at most `caps.max_steps` steps.
+    Raises NondeterminismDetected if two continuations apply."""
     word = tuple(word)
     configs = [Configuration(machine.initial, empty_tree())]
     labels: List[str] = []
@@ -274,10 +274,12 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
         step = next(run, None)
         if step is None:
             return LiftResult("stuck", configs, labels, pos, stuck_at=pos)
+        if len(labels) >= caps.max_steps:  # the step exists, but is one too many
+            return LiftResult("cap_exceeded", configs, labels, pos)
         e, tree, pos = step
         configs.append(Configuration(e.dst, tree))
         labels.append(e.letter)
-        if len(labels) > caps.max_steps or tree.edge_count > caps.max_tree_edges:
+        if tree.edge_count > caps.max_tree_edges:
             return LiftResult("cap_exceeded", configs, labels, pos)
     return LiftResult("ok", configs, labels, pos)
 

@@ -310,50 +310,47 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
     the caps that fired.
     """
     word = tuple(word)
-    start = (machine.initial, empty_tree(), 0)
+    n, empty = len(word), empty_tree()
+    max_steps, max_tree_edges, max_frontier = caps.max_steps, caps.max_tree_edges, caps.max_frontier
+    start = (machine.initial, empty, 0)
     parent: Dict[tuple, Optional[Tuple[tuple, Edge]]] = {start: None}
     queue = deque([start])
-    caps_hit: List[str] = []
+    pruned = False  # max_tree_edges cut off a successor
+    stop = None  # the cap that ended the search, after any pruning
     steps = 0
-
-    def hit(name: str):
-        if name not in caps_hit:
-            caps_hit.append(name)
 
     goal = None
     while queue:
-        if len(queue) > caps.max_frontier:
-            hit("max_frontier")
+        if len(queue) > max_frontier:
+            stop = "max_frontier"
             break
         state, tree, pos = cfg = queue.popleft()
-        if pos == len(word) and state in machine.finals and tree == empty_tree():
+        if pos == n and state in machine.finals and tree == empty:
             goal = cfg
             break
         steps += 1
-        if steps > caps.max_steps:
-            hit("max_steps")
+        if steps > max_steps:
+            stop = "max_steps"
             break
-        letter = word[pos] if pos < len(word) else EPSILON
-        for e, t2 in successors(machine, state, tree, letter):
-            if t2.edge_count > caps.max_tree_edges:
-                hit("max_tree_edges")
+        for e, t2 in successors(machine, state, tree, word[pos] if pos < n else EPSILON):
+            if t2.edge_count > max_tree_edges:
+                pruned = True
                 continue
             nxt = (e.dst, t2, pos if e.letter == EPSILON else pos + 1)
-            if nxt not in parent:
-                parent[nxt] = (cfg, e)
+            if parent.setdefault(nxt, link := (cfg, e)) is link:  # one hash of nxt, new or not
                 queue.append(nxt)
 
     if goal is not None:
-        path: List[Edge] = []
-        cfg = goal
-        while parent[cfg] is not None:
-            cfg, e = parent[cfg]
+        cfg, path = goal, []
+        while (link := parent[cfg]) is not None:
+            cfg, e = link
             path.append(e)
         path.reverse()
         witness = Computation(tuple(path), word, goal[1])
         return AcceptResult(ACCEPTED, witness=witness)
+    caps_hit = (("max_tree_edges",) if pruned else ()) + ((stop,) if stop else ())
     if caps_hit:
-        return AcceptResult(CAP_EXCEEDED, caps_hit=tuple(caps_hit))
+        return AcceptResult(CAP_EXCEEDED, caps_hit=caps_hit)
     return AcceptResult(REJECTED)
 
 
@@ -388,8 +385,9 @@ def enumerate_accepted(
             if t2.edge_count > caps.max_tree_edges:
                 raise EnumerationCapExceeded("max_tree_edges")
             nxt = (e.dst, t2, word if e.letter == EPSILON else word + (e.letter,))
-            if nxt not in seen:
-                seen.add(nxt)
+            size = len(seen)
+            seen.add(nxt)  # one hash of nxt, new or not
+            if len(seen) > size:
                 queue.append(nxt)
     return found
 
@@ -522,7 +520,8 @@ def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resour
             accepted_at.append(len(steps))
     if tree.edge_count > caps.max_tree_edges:
         stopped = "max_tree_edges"
-    elif len(steps) == caps.max_steps:
+    elif len(steps) == caps.max_steps and successors(  # a run halting right at the cap is "halted"
+            machine, state, tree, word[pos] if pos < len(word) else EPSILON):
         stopped = "max_steps"
     else:
         stopped = "halted"

@@ -165,7 +165,9 @@ class MemoryTree:
 
     `parents[i]` is the parent of vertex i (-1 for the root), `labels[i]`
     the label of its inedge (EPSILON for the root).  Vertex len-1 is the
-    latest.  Instances are immutable; operations return fresh trees.
+    latest.  Instances are immutable; operations return fresh trees.  The
+    public attributes are read-only properties and `__slots__` admits no
+    others; the private slots are written once, in `_tree`, by plain stores.
 
     Internally a tree is the latest vertex node, the distinguished vertex
     node, and the spine: a linked list of the vertices from the child of
@@ -174,7 +176,7 @@ class MemoryTree:
     creation histories only until they meet at a shared node.
     """
 
-    __slots__ = ("_latest", "_node", "_spine", "_hash", "distinguished")
+    __slots__ = ("_latest", "_node", "_spine", "_hash", "_distinguished")
 
     def __new__(cls, parents=(-1,), labels=(EPSILON,), distinguished: int = 0):
         parents, labels = tuple(parents), tuple(labels)
@@ -189,13 +191,8 @@ class MemoryTree:
         node = nodes[distinguished] if 0 <= distinguished < len(nodes) else None
         return _tree(prev, node, _path(node, prev), distinguished)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MemoryTree is immutable; cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
     def __reduce__(self):
-        return MemoryTree, (tuple(self.parents), tuple(self.labels), self.distinguished)
+        return MemoryTree, (tuple(self.parents), tuple(self.labels), self._distinguished)
 
     def __hash__(self):
         return self._hash
@@ -205,7 +202,7 @@ class MemoryTree:
             return True
         if other.__class__ is not MemoryTree:
             return NotImplemented
-        if self._hash != other._hash or self.distinguished != other.distinguished:
+        if self._hash != other._hash or self._distinguished != other._distinguished:
             return False
         a, b = self._latest, other._latest
         while a is not b:  # equal indices all the way, so both reach None together
@@ -217,8 +214,12 @@ class MemoryTree:
     def __repr__(self):
         return (
             f"MemoryTree(parents={tuple(self.parents)!r}, "
-            f"labels={tuple(self.labels)!r}, distinguished={self.distinguished!r})"
+            f"labels={tuple(self.labels)!r}, distinguished={self._distinguished!r})"
         )
+
+    @property
+    def distinguished(self) -> int:
+        return self._distinguished
 
     @property
     def parents(self) -> Sequence[int]:
@@ -266,28 +267,23 @@ class MemoryTree:
         branch = self.branch_labels()
         if branch is not None:
             word = "".join(branch) or "ε"
-            return f"{word}@{self.distinguished}"
+            return f"{word}@{self._distinguished}"
         pairs = ",".join(
             f"{p}-{lab}" for p, lab in zip(self.parents[1:], self.labels[1:])
         )
-        return f"[{pairs}]@{self.distinguished}"
+        return f"[{pairs}]@{self._distinguished}"
 
 
 _new_object = object.__new__
-_set_latest = MemoryTree._latest.__set__
-_set_node = MemoryTree._node.__set__
-_set_spine = MemoryTree._spine.__set__
-_set_hash = MemoryTree._hash.__set__
-_set_distinguished = MemoryTree.distinguished.__set__
 
 
 def _tree(latest, node, spine, distinguished):
     tree = _new_object(MemoryTree)
-    _set_latest(tree, latest)
-    _set_node(tree, node)
-    _set_spine(tree, spine)
-    _set_hash(tree, hash((latest[_HASH], distinguished)))
-    _set_distinguished(tree, distinguished)
+    tree._latest = latest
+    tree._node = node
+    tree._spine = spine
+    tree._hash = hash((latest[_HASH], distinguished))
+    tree._distinguished = distinguished
     return tree
 
 

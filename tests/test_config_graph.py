@@ -17,7 +17,7 @@ from nestedstack.config_graph import (
     vertex_namer,
 )
 from nestedstack.graphs import fundamental_cycle
-from nestedstack.machine import Edge, Machine, NondeterminismDetected, parse_machine
+from nestedstack.machine import Edge, Machine, NondeterminismDetected, ResourceCaps, parse_machine
 from nestedstack.memory_tree import EPSILON, MemoryTree, StackOp, apply_word, empty_tree, push
 
 from conftest import free_group_wp_machine
@@ -285,6 +285,17 @@ def test_lift_stuck_reports_position(quad):
     result = lift_path(quad, "ba")
     assert result.status == "stuck"
     assert result.stuck_at == 0
+
+
+def test_lift_takes_at_most_max_steps_steps(anbn):
+    capped = lift_path(anbn, "ab", ResourceCaps(max_steps=1))
+    assert (capped.status, capped.labels, capped.consumed) == ("cap_exceeded", ["a"], 1)
+    assert [vertex_name(c) for c in capped.configs] == ["ε1", "x2"]
+    exact = lift_path(anbn, "ab", ResourceCaps(max_steps=2))
+    assert (exact.status, exact.labels) == ("ok", ["a", "b"])
+    # no further step exists, so the cap is not what ends the lift
+    assert lift_path(anbn, "abb", ResourceCaps(max_steps=2)).status == "stuck"
+    assert lift_path(anbn, "ab", ResourceCaps(max_steps=0)).labels == []
 
 
 def test_lift_raises_on_nondeterminism():

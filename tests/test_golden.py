@@ -44,6 +44,7 @@ _BASE = [
     ("trace_xyblock", ["trace", XY, "--word", "pppqqq"]),
     ("trace_dyck2", ["trace", DYCK, "--word", "acdbab"]),
     ("trace_anbn_nondet", ["trace", ANBN, "--word", "aabb"]),
+    ("trace_anbn_halts_at_cap", ["trace", ANBN, "--word", "ab", "--max-steps", "2"]),
     ("run_quad", ["run", QUAD, "--word", "aabbccdd"]),
     ("run_quad_rejected", ["run", QUAD, "--word", "aabbccd"]),
     ("run_quad_capped", ["run", QUAD, "--word", "aaabbbcccddd", "--max-tree-edges", "2"]),
@@ -64,6 +65,7 @@ _BASE = [
     ("cg_lift_quad_stuck", ["cg", "lift", "--machine", QUAD, "--word", "abd"]),
     ("cg_lift_zcount", ["cg", "lift", "--machine", Z, "--word", "aaAAA"]),
     ("cg_lift_xyblock", ["cg", "lift", "--machine", XY, "--word", "ppq"]),
+    ("cg_lift_anbn_capped", ["cg", "lift", "--machine", ANBN, "--word", "ab", "--max-steps", "1"]),
     ("pda_quotient_anbn", ["pda", "quotient", "--machine", ANBN, "--horizon", "8"]),
     ("pda_quotient_zcount", ["pda", "quotient", "--machine", Z, "--horizon", "6"]),
     ("pda_quotient_dyck2", ["pda", "quotient", "--machine", DYCK, "--horizon", "3"]),

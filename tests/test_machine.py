@@ -177,6 +177,64 @@ def test_accepts_tree_cap_prunes_honestly(quad):
     assert "max_tree_edges" in result.caps_hit
 
 
+def fan_machine():
+    """A finite search from which each cap can be made to fire alone or
+    after the tree cap: state 2 pushes a second edge onto the tree, state 3
+    fans out to three configurations, and the final state is unreachable."""
+    return small_machine(
+        ["1 2 push x eps", "2 6 push x eps", "1 3 stay eps", "3 4 stay eps", "3 5 stay eps", "3 6 stay eps"],
+        states="1 2 3 4 5 6 7",
+        final="7",
+        inputs="a",
+    )
+
+
+# Breadth-first, the search pops (1,ε), then (2,x), whose push makes a tree
+# of two edges, then (3,ε), after which the frontier holds three or four
+# configurations.
+CAP_CASES = [
+    (ResourceCaps(max_steps=2), ("max_steps",)),
+    (ResourceCaps(max_tree_edges=1), ("max_tree_edges",)),
+    (ResourceCaps(max_frontier=2), ("max_frontier",)),
+    (ResourceCaps(max_steps=2, max_tree_edges=1), ("max_tree_edges", "max_steps")),
+    (ResourceCaps(max_tree_edges=1, max_frontier=2), ("max_tree_edges", "max_frontier")),
+    (ResourceCaps(max_steps=2, max_frontier=2), ("max_steps",)),  # both stop the search; steps fires first
+    (ResourceCaps(max_steps=3, max_frontier=2), ("max_frontier",)),
+]
+
+
+@pytest.mark.parametrize("caps,hit", CAP_CASES, ids=[",".join(h) + f"-{i}" for i, (_, h) in enumerate(CAP_CASES)])
+def test_accepts_reports_each_cap_in_firing_order(caps, hit):
+    result = accepts(fan_machine(), "a", caps)
+    assert result == (CAP_EXCEEDED, None, hit)
+
+
+def test_accepts_rejects_only_when_no_cap_fired():
+    assert accepts(fan_machine(), "a") == (REJECTED, None, ())
+    assert accepts(fan_machine(), "a", ResourceCaps(max_steps=7, max_tree_edges=2, max_frontier=4)) == (
+        REJECTED, None, ())
+
+
+@pytest.mark.parametrize(
+    "caps,name",
+    [
+        (ResourceCaps(max_steps=2), "max_steps"),
+        (ResourceCaps(max_tree_edges=1), "max_tree_edges"),
+        (ResourceCaps(max_frontier=2), "max_frontier"),
+        (ResourceCaps(max_tree_edges=1, max_frontier=2), "max_tree_edges"),
+        (ResourceCaps(max_steps=1, max_tree_edges=1), "max_steps"),  # step 2 is refused before its push is tried
+    ],
+)
+def test_enumerate_names_the_cap_that_fired(caps, name):
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        enumerate_accepted(fan_machine(), 0, caps)
+    assert str(exc.value) == name
+
+
+def test_enumerate_without_caps_firing_is_exact():
+    assert enumerate_accepted(fan_machine(), 0, ResourceCaps(max_steps=7, max_tree_edges=2, max_frontier=4)) == set()
+
+
 def test_enumerate_quad_short(quad):
     words = enumerate_accepted(quad, 8)
     assert words == {(), tuple("abcd"), tuple("abcdabcd"), tuple("aabbccdd")}
@@ -310,6 +368,21 @@ def test_trace_cap(quad):
     trace = run_trace(quad, "abcd", ResourceCaps(max_steps=3))
     assert trace.stopped == "max_steps"
     assert len(trace.steps) == 3
+
+
+def test_trace_halting_at_the_step_cap_is_halted(anbn):
+    trace = run_trace(anbn, "ab", ResourceCaps(max_steps=2))
+    assert (trace.stopped, len(trace.steps), trace.accepted_at) == ("halted", 2, (2,))
+    assert run_trace(anbn, "ab", ResourceCaps(max_steps=1)).stopped == "max_steps"
+    assert run_trace(anbn, "b", ResourceCaps(max_steps=0)).stopped == "halted"
+    assert run_trace(anbn, "a", ResourceCaps(max_steps=0)).stopped == "max_steps"
+
+
+def test_trace_cap_before_a_nondeterministic_step():
+    # two further steps still mean the cap stopped the run; only running
+    # into them raises
+    m = small_machine(["1 2 push x a", "1 1 push y a"])
+    assert run_trace(m, "a", ResourceCaps(max_steps=0)).stopped == "max_steps"
 
 
 def test_fixture_languages_against_independent_predicates(anbn, dyck2, zcount, xyblock):

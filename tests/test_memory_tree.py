@@ -177,3 +177,21 @@ def test_generators_act_injectively_on_samples():
             if result is UNDEFINED:
                 continue
             assert image.setdefault(result, t) == t, f"{op} merged two trees"
+
+
+@pytest.mark.parametrize("name", ["distinguished", "parents", "labels", "edge_count", "current_symbol"])
+def test_public_attributes_are_read_only(name):
+    t = apply_word([push("x"), push("y")], empty_tree())
+    before = getattr(t, name)
+    with pytest.raises(AttributeError):
+        setattr(t, name, before)
+    with pytest.raises(AttributeError):
+        delattr(t, name)
+    assert getattr(t, name) == before
+
+
+def test_trees_take_no_new_attributes():
+    t = empty_tree()
+    with pytest.raises(AttributeError):
+        t.color = "red"
+    assert not hasattr(t, "__dict__")

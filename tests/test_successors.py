@@ -1,22 +1,29 @@
-"""The successor kernel against a brute-force scan of the edge list, and the
-searches built on it against each other."""
+"""The successor kernel against a brute-force scan of the edge list, the
+searches built on it against each other and against a model over tuple
+trees, and the work the searches do, counted at the kernel."""
 
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_search
 from conftest import FIXTURES, free_group_wp_machine, load_machine, random_trees, tree_ops
+from nestedstack import machine as machine_module
+from nestedstack.config_graph import BuildHorizon, build
 from nestedstack.hom import parse_homomorphism, preimage
 from nestedstack.machine import (
     ACCEPTED,
+    REJECTED,
     Edge,
+    EnumerationCapExceeded,
     Machine,
+    ResourceCaps,
     accepts,
     enumerate_accepted,
     successors,
 )
-from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, apply
+from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply
 
 FOREIGN = "zz"  # a letter no machine reads
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.nsa"))
@@ -109,3 +116,113 @@ def test_accepts_agrees_with_enumeration(name, machine, max_len):
         for word in product(alphabet, repeat=n):
             verdict = accepts(machine, word).verdict
             assert (verdict == ACCEPTED) == (word in accepted), (name, word, verdict)
+
+
+# --- the search drivers against the model in reference_search ---------------
+
+
+def assert_searches_match_reference(machine, words, max_len, caps, horizons):
+    for word in words:
+        result = accepts(machine, word, caps)
+        got = (result.verdict, result.witness and result.witness.path, result.caps_hit)
+        assert got == reference_search.accepts(machine, word, caps), word
+        assert (result.verdict == REJECTED) == (result.verdict != ACCEPTED and not result.caps_hit)
+    try:
+        words_or_cap = enumerate_accepted(machine, max_len, caps)
+    except EnumerationCapExceeded as exc:
+        words_or_cap = str(exc)
+    assert words_or_cap == reference_search.enumerate_accepted(machine, max_len, caps)
+    for horizon in horizons:
+        cg = build(machine, horizon)
+        vertices = [(c.state, *reference_search.plain(c.tree)) for c in cg.vertices]
+        assert (vertices, cg.edges, cg.truncated) == reference_search.build(machine, horizon), horizon
+
+
+def words_up_to(alphabet, n):
+    return [w for k in range(n + 1) for w in product(sorted(alphabet), repeat=k)]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_searches_match_reference_on_fixtures(name):
+    machine = load_machine(name)
+    assert_searches_match_reference(
+        machine,
+        words_up_to(machine.input_alphabet, 4),
+        max_len=4,
+        caps=ResourceCaps(max_steps=400, max_tree_edges=6, max_frontier=80),
+        horizons=[BuildHorizon(max_tree_edges=4, max_vertices=400),
+                  BuildHorizon(max_tree_edges=6, max_vertices=40, max_depth=4)],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(EDGE, max_size=12),
+    finals=st.sets(st.sampled_from(STATES)),
+    caps=st.builds(ResourceCaps, st.integers(0, 40), st.integers(0, 3), st.integers(0, 12)),
+    horizon=st.builds(BuildHorizon, st.integers(0, 3), st.integers(1, 40), st.none() | st.integers(0, 4)),
+)
+def test_searches_match_reference_on_random_machines(rows, finals, caps, horizon):
+    machine = Machine(
+        states=STATES,
+        initial="1",
+        finals=frozenset(finals),
+        input_alphabet=frozenset({"a", "b"}),
+        memory_alphabet=frozenset({"x", "y"}),
+        edges=tuple(dict.fromkeys(Edge(src, dst, OPS[i], a) for src, dst, i, a in rows)),
+    )
+    assert_searches_match_reference(machine, words_up_to("ab", 2), 2, caps, [horizon])
+
+
+# --- the work the searches do --------------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of `apply` calls made through `machine.apply`, where the
+    benchmark tracer patches it, and of memory-tree hashes."""
+    counts = {"apply": 0, "defined": 0, "hash": 0}
+    original_apply, original_hash = machine_module.apply, MemoryTree.__dict__["__hash__"]
+
+    def counting_apply(op, tree):
+        counts["apply"] += 1
+        result = original_apply(op, tree)
+        counts["defined"] += result is not UNDEFINED
+        return result
+
+    def counting_hash(tree):
+        counts["hash"] += 1
+        return original_hash(tree)
+
+    monkeypatch.setattr(machine_module, "apply", counting_apply)
+    monkeypatch.setattr(MemoryTree, "__hash__", counting_hash)
+    return counts
+
+
+# `apply` calls per query, as the searches made them before their
+# dedup probes were rewritten: a count that moves means a search explores
+# something else, or bypasses the `machine.apply` the tracer patches.
+SEARCH_WORK = [
+    ("accepts-member", lambda quad: accepts(quad, "aabbccddabcd"), 20),
+    ("accepts-nonmember", lambda quad: accepts(quad, "aabbccdda"), 15),
+    ("enumerate", lambda quad: enumerate_accepted(quad, 12), 232),
+    ("build", lambda quad: build(quad, BuildHorizon(max_tree_edges=6)), 91),
+    ("build-truncated", lambda quad: build(quad, BuildHorizon(max_tree_edges=6, max_vertices=20)), 43),
+]
+
+
+@pytest.mark.parametrize("query,applies", [(q, n) for q, _, n in SEARCH_WORK], ids=[q for q, _, _ in SEARCH_WORK])
+def test_search_work_is_pinned(quad, counted, query, applies):
+    run = {q: fn for q, fn, _ in SEARCH_WORK}[query]
+    run(quad)
+    assert counted["apply"] == applies
+
+
+def test_searches_hash_each_candidate_once(quad, counted):
+    # no cap fires and nothing is accepted, so every hash is a dedup probe:
+    # one for the start and one per defined successor
+    assert accepts(quad, "aabbccdda").verdict == REJECTED
+    assert counted["hash"] == 1 + counted["defined"]
+    counted.update(apply=0, defined=0, hash=0)
+    enumerate_accepted(quad, 12)
+    assert counted["hash"] == 1 + counted["defined"]
