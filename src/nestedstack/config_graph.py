@@ -277,7 +277,7 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
         if len(labels) >= caps.max_steps:  # the step exists, but is one too many
             return LiftResult("cap_exceeded", configs, labels, pos)
         e, tree, pos = step
-        configs.append(Configuration(e.dst, tree))
+        configs.append(tuple.__new__(Configuration, (e.dst, tree)))  # NamedTuple.__new__ is a Python call
         labels.append(e.letter)
         if tree.edge_count > caps.max_tree_edges:
             return LiftResult("cap_exceeded", configs, labels, pos)

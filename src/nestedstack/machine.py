@@ -66,7 +66,7 @@ class _MachineFields(NamedTuple):
 
 
 class Machine(_MachineFields):
-    # no __slots__: `moves` is cached in the instance dict
+    # no __slots__: the properties below are cached in the instance dict
 
     def __new__(cls, states, initial, finals, input_alphabet, memory_alphabet, edges):
         state_set = set(states)
@@ -101,6 +101,19 @@ class Machine(_MachineFields):
             row[None] = tuple(edges)
             table[q] = row
         return table
+
+    @cached_property
+    def moves_by_symbol(self) -> Dict[str, Dict[Optional[str], Dict[Optional[str], Tuple[Edge, ...]]]]:
+        """`moves` split by the tree's current symbol s (EPSILON at the root):
+        row[a][s] keeps the edges of row[a] whose operation can be defined
+        there; row[a][None], the push and stay edges, serves other symbols."""
+        symbols = (*self.memory_alphabet, EPSILON, None)
+        return {q: {a: {s: tuple(e for e in edges if e.op.kind in ("push", "stay") or e.op.symbol == s)
+                        for s in symbols} for a, edges in row.items()} for q, row in self.moves.items()}
+
+    @cached_property
+    def deterministic(self) -> bool:
+        return check_deterministic(self) is None
 
 
 # --- machine file format -----------------------------------------------
@@ -292,9 +305,10 @@ def successors(
     `state` that reads `letter` or is silent (every outedge when `letter` is
     None) and whose operation is defined on `tree`, in machine edge order.
     A letter that no outedge reads selects the silent edges alone."""
-    row = machine.moves[state]
+    row = machine.moves_by_symbol[state]
+    cells = row.get(letter, row[EPSILON])
     out = []
-    for e in row.get(letter, row[EPSILON]):
+    for e in cells.get(tree.current_symbol, cells[None]):
         t2 = apply(e.op, tree)
         if t2 is not UNDEFINED:
             out.append((e, t2))
@@ -307,9 +321,11 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
     ACCEPTED comes with a witness computation ending at a final state with
     empty memory.  REJECTED is only reported when the search exhausted the
     frontier without any cap pruning anything; otherwise CAP_EXCEEDED names
-    the caps that fired.
+    the caps that fired.  On a deterministic machine the search is the run.
     """
     word = tuple(word)
+    if machine.deterministic:
+        return _accepts_deterministic(machine, word, caps)
     n, empty = len(word), empty_tree()
     max_steps, max_tree_edges, max_frontier = caps.max_steps, caps.max_tree_edges, caps.max_frontier
     start = (machine.initial, empty, 0)
@@ -354,6 +370,35 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
     return AcceptResult(REJECTED)
 
 
+def _accepts_deterministic(machine: Machine, word: Word, caps: ResourceCaps) -> AcceptResult:
+    """`accepts` along `deterministic_run`.  Only a silent step can revisit a
+    configuration, so configurations are kept from the first silent step on."""
+    if caps.max_frontier < 1:
+        return AcceptResult(CAP_EXCEEDED, caps_hit=("max_frontier",))
+    n, finals, empty, max_tree_edges = len(word), machine.finals, empty_tree(), caps.max_tree_edges
+    if n == 0 and machine.initial in finals:
+        return AcceptResult(ACCEPTED, witness=Computation((), word, empty))
+    state, tree, path, seen = machine.initial, empty, [], None
+    for e, t2, pos in islice(deterministic_run(machine, word, max_tree_edges), max(caps.max_steps, 0)):
+        if t2.edge_count > max_tree_edges:
+            return AcceptResult(CAP_EXCEEDED, caps_hit=("max_tree_edges",))
+        if e.letter != EPSILON:
+            seen = None
+        else:
+            seen = seen or {(state, tree)}
+            size = len(seen)
+            seen.add((e.dst, t2))  # one hash of the new configuration, new or not
+            if len(seen) == size:
+                return AcceptResult(REJECTED)
+        path.append(e)
+        state, tree = e.dst, t2
+        if pos == n and state in finals and tree == empty:
+            return AcceptResult(ACCEPTED, witness=Computation(tuple(path), word, tree))
+    if len(path) >= caps.max_steps:  # the search would examine one more configuration
+        return AcceptResult(CAP_EXCEEDED, caps_hit=("max_steps",))
+    return AcceptResult(REJECTED)
+
+
 class EnumerationCapExceeded(RuntimeError):
     """Enumeration would be unsound: a resource cap pruned live branches."""
 
@@ -366,23 +411,25 @@ def enumerate_accepted(
     Searches (state, tree, consumed word) triples; skipping consuming edges
     at the length bound is sound, but any resource cap firing escalates,
     because a pruned search could miss members."""
-    start = (machine.initial, empty_tree(), ())
+    empty, finals = empty_tree(), machine.finals
+    max_steps, max_tree_edges, max_frontier = caps.max_steps, caps.max_tree_edges, caps.max_frontier
+    start = (machine.initial, empty, ())
     seen = {start}
     queue = deque([start])
     found: Set[Word] = set()
     steps = 0
     while queue:
-        if len(queue) > caps.max_frontier:
+        if len(queue) > max_frontier:
             raise EnumerationCapExceeded("max_frontier")
         state, tree, word = queue.popleft()
-        if state in machine.finals and tree == empty_tree():
+        if state in finals and tree == empty:
             found.add(word)
         steps += 1
-        if steps > caps.max_steps:
+        if steps > max_steps:
             raise EnumerationCapExceeded("max_steps")
         letter = None if len(word) < max_len else EPSILON
         for e, t2 in successors(machine, state, tree, letter):
-            if t2.edge_count > caps.max_tree_edges:
+            if t2.edge_count > max_tree_edges:
                 raise EnumerationCapExceeded("max_tree_edges")
             nxt = (e.dst, t2, word if e.letter == EPSILON else word + (e.letter,))
             size = len(seen)
@@ -484,22 +531,26 @@ def deterministic_run(
     run ends when no edge applies, or right after the first step whose tree
     has more than `max_tree_edges` edges.
 
-    Raises NondeterminismDetected if two continuations ever apply."""
-    word = tuple(word)
+    Raises NondeterminismDetected if two continuations ever apply, naming
+    the first two in machine edge order."""
+    letters = (*word, EPSILON)  # the letter read at each position; EPSILON once all are read
+    moves = machine.moves_by_symbol
     state, tree, pos = machine.initial, empty_tree(), 0
     while True:
-        applicable = successors(machine, state, tree, word[pos] if pos < len(word) else EPSILON)
-        if not applicable:
+        row = moves[state]
+        taken = None
+        for e in row.get(letters[pos], row[EPSILON])[tree.current_symbol]:
+            t2 = apply(e.op, tree)
+            if t2 is not UNDEFINED:
+                if taken is not None:
+                    raise NondeterminismDetected(f"state {state}, tree {tree}: edges {taken} and {e} both apply")
+                taken, nxt = e, t2
+        if taken is None:
             return
-        if len(applicable) > 1:
-            raise NondeterminismDetected(
-                f"state {state}, tree {tree}: edges {applicable[0][0]} and {applicable[1][0]} both apply"
-            )
-        (e, tree), = applicable
-        state = e.dst
-        if e.letter != EPSILON:
+        state, tree = taken.dst, nxt
+        if taken.letter != EPSILON:
             pos += 1
-        yield e, tree, pos
+        yield taken, tree, pos
         if tree.edge_count > max_tree_edges:
             return
 
@@ -509,19 +560,20 @@ def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resour
     step-by-step listing of at most `caps.max_steps` steps; `stopped` names
     the cap that ended it, if any."""
     word = tuple(word)
-    empty = empty_tree()
+    n, finals, empty, new = len(word), machine.finals, empty_tree(), tuple.__new__
     state, tree, pos = machine.initial, empty, 0
     steps: List[TraceStep] = []
-    accepted_at = [0] if not word and state in machine.finals else []
-    for e, tree, pos in islice(deterministic_run(machine, word, caps.max_tree_edges), caps.max_steps):
+    accepted_at = [0] if not word and state in finals else []
+    for step in islice(deterministic_run(machine, word, caps.max_tree_edges), caps.max_steps):
+        e, tree, pos = step
         state = e.dst
-        steps.append(TraceStep(e, tree, pos))
-        if pos == len(word) and state in machine.finals and tree == empty:
+        steps.append(new(TraceStep, step))  # NamedTuple.__new__ is a Python call
+        if pos == n and state in finals and tree == empty:
             accepted_at.append(len(steps))
     if tree.edge_count > caps.max_tree_edges:
         stopped = "max_tree_edges"
     elif len(steps) == caps.max_steps and successors(  # a run halting right at the cap is "halted"
-            machine, state, tree, word[pos] if pos < len(word) else EPSILON):
+            machine, state, tree, word[pos] if pos < n else EPSILON):
         stopped = "max_steps"
     else:
         stopped = "halted"

@@ -1,5 +1,6 @@
-"""Golden CLI outputs: stdout and exit code of every `nsa` command on the
-fixtures, byte for byte, in text and --json form, usage errors included.
+"""Golden CLI outputs: stdout, stderr and exit code of every `nsa` command
+on the fixtures, byte for byte, in text and --json form, usage errors
+included.  No case may end in an internal error (exit 4).
 
 Memory trees reach stdout through `MemoryTree.__str__` (trace and run
 listings) and `vertex_name` (DOT, lifts), so any change to the tree
@@ -83,6 +84,7 @@ _BASE = [
     ("check_erasing_quad", ["check-erasing", QUAD]),
     ("check_erasing_popcycle", ["check-erasing", POP]),
     ("trace_popcycle_nondet", ["trace", POP, "--word", "aa"]),
+    ("trace_popcycle_nondet_at_end", ["trace", POP, "--word", "a"]),
     ("preimage_quad_block4", ["preimage", QUAD, "--hom", "fixtures/block4.hom"]),
     ("cg_project_zcount", ["cg", "project", "--machine", Z, "--group", "abelian 1", "--horizon", "6"]),
     ("cg_project_anbn_inconsistent", ["cg", "project", "--machine", ANBN, "--group", "abelian 2", "--horizon", "6"]),
@@ -132,11 +134,11 @@ CASES = _BASE + [(name + "_json", argv + ["--json"]) for name, argv in _BASE]
 
 
 def run_case(argv):
-    """Exit code and stdout of one in-process CLI run from the repo root."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """Exit code, stdout and stderr of one in-process CLI run from the repo root."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _exit_codes():
@@ -146,25 +148,31 @@ def _exit_codes():
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_golden_output(name, argv, monkeypatch):
     monkeypatch.chdir(ROOT)
-    code, out = run_case(argv)
+    code, out, err = run_case(argv)
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+    assert err.encode("utf-8") == (GOLDEN / f"{name}.err").read_bytes()
     assert code == _exit_codes()[name]
 
 
 def test_golden_files_match_cases():
-    recorded = {p.stem for p in GOLDEN.glob("*.out")}
-    assert recorded == {name for name, _ in CASES}
-    assert set(_exit_codes()) == recorded
+    for suffix in ("*.out", "*.err"):
+        assert {p.stem for p in GOLDEN.glob(suffix)} == {name for name, _ in CASES}
+    assert set(_exit_codes()) == {name for name, _ in CASES}
+
+
+def test_no_golden_case_is_an_internal_error():
+    assert 4 not in _exit_codes().values()
 
 
 def regenerate():
     GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.glob("*.out"):
+    for stale in [*GOLDEN.glob("*.out"), *GOLDEN.glob("*.err")]:
         stale.unlink()
     codes = {}
     for name, argv in CASES:
-        code, out = run_case(argv)
+        code, out, err = run_case(argv)
         (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
+        (GOLDEN / f"{name}.err").write_bytes(err.encode("utf-8"))
         codes[name] = code
     text = json.dumps(codes, indent=1, sort_keys=True) + "\n"
     (GOLDEN / "exit_codes.json").write_text(text, encoding="utf-8")

@@ -1,26 +1,32 @@
 """The successor kernel against a brute-force scan of the edge list, the
 searches built on it against each other and against a model over tuple
-trees, and the work the searches do, counted at the kernel."""
+trees, the relations between verdicts under different caps, and the work
+the searches do, counted at the kernel."""
 
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_search
 from conftest import FIXTURES, free_group_wp_machine, load_machine, random_trees, tree_ops
 from nestedstack import machine as machine_module
+from nestedstack.cli import main
 from nestedstack.config_graph import BuildHorizon, build
 from nestedstack.hom import parse_homomorphism, preimage
 from nestedstack.machine import (
     ACCEPTED,
+    CAP_EXCEEDED,
     REJECTED,
     Edge,
     EnumerationCapExceeded,
     Machine,
+    NondeterminismDetected,
     ResourceCaps,
     accepts,
     enumerate_accepted,
+    parse_machine,
+    run_trace,
     successors,
 )
 from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply
@@ -71,6 +77,19 @@ EDGE = st.tuples(
 RANDOM_TREES = random_trees(40, seed=11)
 
 
+def random_machine(rows, finals=("1",)):
+    """A machine over the states 1 2 3, input a b and memory x y, with the
+    edges `rows` (as EDGE draws them), duplicates dropped."""
+    return Machine(
+        states=STATES,
+        initial="1",
+        finals=frozenset(finals),
+        input_alphabet=frozenset({"a", "b"}),
+        memory_alphabet=frozenset({"x", "y"}),
+        edges=tuple(dict.fromkeys(Edge(src, dst, OPS[i], a) for src, dst, i, a in rows)),
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(EDGE, max_size=12),
@@ -79,15 +98,7 @@ RANDOM_TREES = random_trees(40, seed=11)
     letter=st.sampled_from(["a", "b", EPSILON, None, FOREIGN]),
 )
 def test_successors_match_brute_force_on_random_machines(rows, tree_index, state, letter):
-    edges = tuple(dict.fromkeys(Edge(src, dst, OPS[i], a) for src, dst, i, a in rows))
-    machine = Machine(
-        states=STATES,
-        initial="1",
-        finals=frozenset({"1"}),
-        input_alphabet=frozenset({"a", "b"}),
-        memory_alphabet=frozenset({"x", "y"}),
-        edges=edges,
-    )
+    machine = random_machine(rows)
     tree = RANDOM_TREES[tree_index]
     assert successors(machine, state, tree, letter) == brute_force(machine, state, tree, letter)
 
@@ -163,15 +174,102 @@ def test_searches_match_reference_on_fixtures(name):
     horizon=st.builds(BuildHorizon, st.integers(0, 3), st.integers(1, 40), st.none() | st.integers(0, 4)),
 )
 def test_searches_match_reference_on_random_machines(rows, finals, caps, horizon):
-    machine = Machine(
-        states=STATES,
-        initial="1",
-        finals=frozenset(finals),
-        input_alphabet=frozenset({"a", "b"}),
-        memory_alphabet=frozenset({"x", "y"}),
-        edges=tuple(dict.fromkeys(Edge(src, dst, OPS[i], a) for src, dst, i, a in rows)),
-    )
+    machine = random_machine(rows, finals)
     assert_searches_match_reference(machine, words_up_to("ab", 2), 2, caps, [horizon])
+
+
+def assert_accepts_matches_reference(machine, words, caps):
+    for word in words:
+        result = accepts(machine, word, caps)
+        got = (result.verdict, result.witness and result.witness.path, result.caps_hit)
+        assert got == reference_search.accepts(machine, word, caps), word
+
+
+# Small caps, so that every cap fires somewhere, at 0 and below included.
+SMALL_CAPS = st.builds(ResourceCaps, st.integers(-1, 30), st.integers(-1, 2), st.integers(-1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES), caps=SMALL_CAPS)
+def test_accepts_matches_reference_on_fixtures_under_small_caps(name, caps):
+    machine = load_machine(name)
+    assert_accepts_matches_reference(machine, words_up_to(machine.input_alphabet, 3), caps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(EDGE, max_size=8), finals=st.sets(st.sampled_from(STATES)), caps=SMALL_CAPS)
+def test_deterministic_accepts_matches_reference_on_random_machines(rows, finals, caps):
+    machine = random_machine(rows, finals)
+    assume(machine.deterministic)
+    assert_accepts_matches_reference(machine, words_up_to("ab", 3), caps)
+
+
+# --- verdicts under different caps -------------------------------------------------
+
+CAPS = st.builds(ResourceCaps, st.integers(0, 60), st.integers(0, 4), st.integers(0, 6))
+MACHINES = st.sampled_from([load_machine(name) for name in FIXTURE_NAMES]) | st.builds(
+    random_machine, st.lists(EDGE, max_size=10), st.sets(st.sampled_from(STATES))
+)
+
+
+def larger(caps, more):
+    return ResourceCaps(*(a + b for a, b in zip(caps, more)))
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["run", "search"])
+@settings(max_examples=80, deadline=None)
+@given(machine=MACHINES, data=st.data(), caps=CAPS, other=CAPS, more=CAPS)
+def test_verdicts_keep_their_order_under_caps(deterministic, machine, data, caps, other, more):
+    """ACCEPTED and REJECTED are never both reported for one word.  Larger
+    caps keep REJECTED, and larger step and frontier caps keep ACCEPTED
+    with its witness.  A larger tree cap keeps ACCEPTED on the run only:
+    it can widen the search past the other caps.  It never lengthens a
+    witness."""
+    assume(machine.deterministic is deterministic)
+    word = data.draw(st.lists(st.sampled_from(sorted(machine.input_alphabet)), max_size=6))
+    first, second, wider, longer = (
+        accepts(machine, word, c)
+        for c in (caps, other, larger(caps, more), larger(caps, more._replace(max_tree_edges=0)))
+    )
+    assert not {ACCEPTED, REJECTED} <= {r.verdict for r in (first, second, wider, longer)}
+    if first.verdict == REJECTED:
+        assert wider == longer == first
+    if first.verdict == ACCEPTED:
+        assert longer == first
+        if deterministic:
+            assert wider == first
+        if wider.verdict == ACCEPTED:
+            assert len(wider.witness.path) <= len(first.witness.path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(machine=MACHINES, data=st.data(), caps=CAPS)
+def test_deterministic_accepts_is_the_run_accepting(machine, data, caps):
+    assume(machine.deterministic)
+    word = data.draw(st.lists(st.sampled_from(sorted(machine.input_alphabet)), max_size=6))
+    result = accepts(machine, word, caps)
+    assume(result.verdict != CAP_EXCEEDED)
+    assert (result.verdict == ACCEPTED) == bool(run_trace(machine, word, caps).accepted_at)
+
+
+def test_a_silent_cycle_back_to_the_start_of_its_stretch_is_a_revisit():
+    # 1 -> 2 -> 1 on silent stays: the search examines two configurations,
+    # finds the third already seen and rejects within two steps
+    cycle = random_machine([("1", "2", OPS.index(STAY), EPSILON), ("2", "1", OPS.index(STAY), EPSILON)], finals=())
+    assert cycle.deterministic
+    for word in ["", "a"]:
+        assert accepts(cycle, word, ResourceCaps(max_steps=2)) == (REJECTED, None, ())
+
+
+def test_a_machine_wrongly_marked_deterministic_raises(monkeypatch):
+    popcycle = load_machine("popcycle.nsa")
+    assert accepts(popcycle, "aa").verdict == ACCEPTED  # by the search
+    popcycle.__dict__["deterministic"] = True
+    with pytest.raises(NondeterminismDetected):
+        accepts(popcycle, "aa")
+    monkeypatch.setattr(Machine, "deterministic", True)
+    monkeypatch.chdir(FIXTURES.parent)
+    assert main(["accept", "fixtures/popcycle.nsa", "--word", "aa"]) == 4
 
 
 # --- the work the searches do --------------------------------------------------
@@ -199,30 +297,51 @@ def counted(monkeypatch):
     return counts
 
 
-# `apply` calls per query, as the searches made them before their
-# dedup probes were rewritten: a count that moves means a search explores
-# something else, or bypasses the `machine.apply` the tracer patches.
+# `apply` calls per query, all of them and the defined ones.  The defined
+# ones are the successors the searches explore: a count that moves means a
+# search explores something else, or bypasses the `machine.apply` the
+# tracer patches.  The totals add the edges the move table offers whose
+# operation turns out undefined.
 SEARCH_WORK = [
-    ("accepts-member", lambda quad: accepts(quad, "aabbccddabcd"), 20),
-    ("accepts-nonmember", lambda quad: accepts(quad, "aabbccdda"), 15),
-    ("enumerate", lambda quad: enumerate_accepted(quad, 12), 232),
-    ("build", lambda quad: build(quad, BuildHorizon(max_tree_edges=6)), 91),
-    ("build-truncated", lambda quad: build(quad, BuildHorizon(max_tree_edges=6, max_vertices=20)), 43),
+    ("accepts-member", lambda quad: accepts(quad, "aabbccddabcd"), 16, 16),
+    ("accepts-nonmember", lambda quad: accepts(quad, "aabbccdda"), 12, 12),
+    ("enumerate", lambda quad: enumerate_accepted(quad, 12), 153, 133),
+    ("build", lambda quad: build(quad, BuildHorizon(max_tree_edges=6)), 58, 43),
+    ("build-truncated", lambda quad: build(quad, BuildHorizon(max_tree_edges=6, max_vertices=20)), 28, 25),
 ]
 
 
-@pytest.mark.parametrize("query,applies", [(q, n) for q, _, n in SEARCH_WORK], ids=[q for q, _, _ in SEARCH_WORK])
-def test_search_work_is_pinned(quad, counted, query, applies):
-    run = {q: fn for q, fn, _ in SEARCH_WORK}[query]
+@pytest.mark.parametrize("query,applies,defined", [(q, n, d) for q, _, n, d in SEARCH_WORK],
+                         ids=[q for q, _, _, _ in SEARCH_WORK])
+def test_search_work_is_pinned(quad, counted, query, applies, defined):
+    run = {q: fn for q, fn, _, _ in SEARCH_WORK}[query]
     run(quad)
-    assert counted["apply"] == applies
+    assert (counted["apply"], counted["defined"]) == (applies, defined)
+
+
+EVEN_PALINDROMES = parse_machine(
+    "states: P Q\nstart: P\nfinal: Q\ninput: a b\nmemory: sa sb\n"
+    "edge: P P push sa a\nedge: P P push sb b\nedge: P Q stay eps\n"
+    "edge: Q Q pop sa a\nedge: Q Q pop sb b\n"
+)
 
 
 def test_searches_hash_each_candidate_once(quad, counted):
     # no cap fires and nothing is accepted, so every hash is a dedup probe:
     # one for the start and one per defined successor
-    assert accepts(quad, "aabbccdda").verdict == REJECTED
-    assert counted["hash"] == 1 + counted["defined"]
+    assert not EVEN_PALINDROMES.deterministic
+    assert accepts(EVEN_PALINDROMES, "abbab").verdict == REJECTED
+    assert counted["hash"] == 1 + counted["defined"] > 1
     counted.update(apply=0, defined=0, hash=0)
     enumerate_accepted(quad, 12)
     assert counted["hash"] == 1 + counted["defined"]
+
+
+def test_the_deterministic_run_hashes_silent_stretches_only(quad, counted):
+    # anbncndn's silent steps open and close each block: one hash for the
+    # configuration a stretch starts from, and one per silent step
+    assert accepts(quad, "aabbccdda").verdict == REJECTED
+    assert counted["hash"] == 5
+    counted.update(apply=0, defined=0, hash=0)
+    assert accepts(quad, "aabbccddabcd").verdict == ACCEPTED
+    assert counted["hash"] == 7
