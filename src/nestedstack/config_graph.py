@@ -13,7 +13,7 @@ from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .graphs import bfs_distances, weighted_path_bound
 from .machine import Machine, ResourceCaps, deterministic_run, successors
-from .memory_tree import EPSILON, MemoryTree, empty_tree
+from .memory_tree import _INDEX, EPSILON, MemoryTree, empty_tree
 
 
 class Configuration(NamedTuple):
@@ -112,6 +112,7 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
     co-accessibility is backward reachability from explored accepting
     configurations, restricted to the explored graph.  The id map built
     here is the only place configurations are hashed."""
+    max_tree_edges, max_vertices, max_depth, new = *horizon, tuple.__new__
     vertices = [Configuration(machine.initial, empty_tree())]
     ids = {vertices[0]: 0}
     parent: List[Optional[Tuple[int, str]]] = [None]
@@ -119,19 +120,19 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
     edges: List[Tuple[int, int, str]] = []
     truncated = False
 
-    for v, cfg in enumerate(vertices):  # breadth-first: the loop reaches vertices as they are appended
-        if horizon.max_depth is not None and depth[v] >= horizon.max_depth:
+    for v, (state, tree) in enumerate(vertices):  # breadth-first: the loop reaches vertices as they are appended
+        if max_depth is not None and depth[v] >= max_depth:
             truncated = True
             continue
         out = []
-        for e, t2 in successors(machine, cfg.state, cfg.tree, None):
-            if t2.edge_count > horizon.max_tree_edges:
+        for e, t2 in successors(machine, state, tree, None):
+            if t2._latest[_INDEX] > max_tree_edges:
                 truncated = True
                 continue
-            nxt = Configuration(e.dst, t2)
+            nxt = new(Configuration, (e.dst, t2))  # NamedTuple.__new__ is a Python call
             w = ids.setdefault(nxt, len(vertices))  # one hash of nxt, new or not
             if w == len(vertices):
-                if w >= horizon.max_vertices:
+                if w >= max_vertices:
                     del ids[nxt]  # ids maps stored vertices only
                     truncated = True
                     continue
@@ -266,22 +267,22 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
     any trailing silent run, and takes at most `caps.max_steps` steps.
     Raises NondeterminismDetected if two continuations apply."""
     word = tuple(word)
+    n, pos, max_steps, max_tree_edges, new = len(word), 0, caps.max_steps, caps.max_tree_edges, tuple.__new__
     configs = [Configuration(machine.initial, empty_tree())]
     labels: List[str] = []
-    pos = 0
-    run = deterministic_run(machine, word, caps.max_tree_edges)
-    while pos < len(word):
-        step = next(run, None)
-        if step is None:
-            return LiftResult("stuck", configs, labels, pos, stuck_at=pos)
-        if len(labels) >= caps.max_steps:  # the step exists, but is one too many
+    if n == 0:
+        return LiftResult("ok", configs, labels, pos)
+    for e, tree, after in deterministic_run(machine, word, max_tree_edges):
+        if len(labels) >= max_steps:  # the step exists, but is one too many
             return LiftResult("cap_exceeded", configs, labels, pos)
-        e, tree, pos = step
-        configs.append(tuple.__new__(Configuration, (e.dst, tree)))  # NamedTuple.__new__ is a Python call
+        pos = after
+        configs.append(new(Configuration, (e.dst, tree)))  # NamedTuple.__new__ is a Python call
         labels.append(e.letter)
-        if tree.edge_count > caps.max_tree_edges:
+        if tree._latest[_INDEX] > max_tree_edges:
             return LiftResult("cap_exceeded", configs, labels, pos)
-    return LiftResult("ok", configs, labels, pos)
+        if pos == n:
+            return LiftResult("ok", configs, labels, pos)
+    return LiftResult("stuck", configs, labels, pos, stuck_at=pos)
 
 
 def dot_quote(text: str) -> str:

@@ -14,6 +14,7 @@ from itertools import islice
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from .memory_tree import (
+    _INDEX, _LABEL,  # node fields the search loops read directly: a property read is a Python call
     EPSILON,
     UNDEFINED,
     MemoryTree,
@@ -308,7 +309,7 @@ def successors(
     row = machine.moves_by_symbol[state]
     cells = row.get(letter, row[EPSILON])
     out = []
-    for e in cells.get(tree.current_symbol, cells[None]):
+    for e in cells.get(tree._node[_LABEL], cells[None]):
         t2 = apply(e.op, tree)
         if t2 is not UNDEFINED:
             out.append((e, t2))
@@ -349,7 +350,7 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
             stop = "max_steps"
             break
         for e, t2 in successors(machine, state, tree, word[pos] if pos < n else EPSILON):
-            if t2.edge_count > max_tree_edges:
+            if t2._latest[_INDEX] > max_tree_edges:
                 pruned = True
                 continue
             nxt = (e.dst, t2, pos if e.letter == EPSILON else pos + 1)
@@ -380,7 +381,7 @@ def _accepts_deterministic(machine: Machine, word: Word, caps: ResourceCaps) -> 
         return AcceptResult(ACCEPTED, witness=Computation((), word, empty))
     state, tree, path, seen = machine.initial, empty, [], None
     for e, t2, pos in islice(deterministic_run(machine, word, max_tree_edges), max(caps.max_steps, 0)):
-        if t2.edge_count > max_tree_edges:
+        if t2._latest[_INDEX] > max_tree_edges:
             return AcceptResult(CAP_EXCEEDED, caps_hit=("max_tree_edges",))
         if e.letter != EPSILON:
             seen = None
@@ -429,7 +430,7 @@ def enumerate_accepted(
             raise EnumerationCapExceeded("max_steps")
         letter = None if len(word) < max_len else EPSILON
         for e, t2 in successors(machine, state, tree, letter):
-            if t2.edge_count > max_tree_edges:
+            if t2._latest[_INDEX] > max_tree_edges:
                 raise EnumerationCapExceeded("max_tree_edges")
             nxt = (e.dst, t2, word if e.letter == EPSILON else word + (e.letter,))
             size = len(seen)
@@ -534,12 +535,11 @@ def deterministic_run(
     Raises NondeterminismDetected if two continuations ever apply, naming
     the first two in machine edge order."""
     letters = (*word, EPSILON)  # the letter read at each position; EPSILON once all are read
-    moves = machine.moves_by_symbol
-    state, tree, pos = machine.initial, empty_tree(), 0
+    moves, state, tree, pos = machine.moves_by_symbol, machine.initial, empty_tree(), 0
     while True:
         row = moves[state]
         taken = None
-        for e in row.get(letters[pos], row[EPSILON])[tree.current_symbol]:
+        for e in row.get(letters[pos], row[EPSILON])[tree._node[_LABEL]]:
             t2 = apply(e.op, tree)
             if t2 is not UNDEFINED:
                 if taken is not None:
@@ -551,7 +551,7 @@ def deterministic_run(
         if taken.letter != EPSILON:
             pos += 1
         yield taken, tree, pos
-        if tree.edge_count > max_tree_edges:
+        if tree._latest[_INDEX] > max_tree_edges:
             return
 
 
@@ -561,18 +561,19 @@ def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resour
     the cap that ended it, if any."""
     word = tuple(word)
     n, finals, empty, new = len(word), machine.finals, empty_tree(), tuple.__new__
+    max_steps, max_tree_edges = max(caps.max_steps, 0), caps.max_tree_edges  # a negative cap acts as 0
     state, tree, pos = machine.initial, empty, 0
     steps: List[TraceStep] = []
     accepted_at = [0] if not word and state in finals else []
-    for step in islice(deterministic_run(machine, word, caps.max_tree_edges), caps.max_steps):
+    for step in islice(deterministic_run(machine, word, max_tree_edges), max_steps):
         e, tree, pos = step
         state = e.dst
         steps.append(new(TraceStep, step))  # NamedTuple.__new__ is a Python call
         if pos == n and state in finals and tree == empty:
             accepted_at.append(len(steps))
-    if tree.edge_count > caps.max_tree_edges:
+    if tree._latest[_INDEX] > max_tree_edges:
         stopped = "max_tree_edges"
-    elif len(steps) == caps.max_steps and successors(  # a run halting right at the cap is "halted"
+    elif len(steps) == max_steps and successors(  # a run halting right at the cap is "halted"
             machine, state, tree, word[pos] if pos < n else EPSILON):
         stopped = "max_steps"
     else:

@@ -171,12 +171,12 @@ class MemoryTree:
 
     Internally a tree is the latest vertex node, the distinguished vertex
     node, and the spine: a linked list of the vertices from the child of
-    the distinguished vertex down to the latest one.  Trees share nodes,
-    so every stack operation and the hash are O(1); equality walks the two
-    creation histories only until they meet at a shared node.
+    the distinguished vertex down to the latest one.  Trees share nodes, so
+    every stack operation and the hash (from the latest node's) are O(1);
+    equality walks the two creation histories until they meet at a shared node.
     """
 
-    __slots__ = ("_latest", "_node", "_spine", "_hash", "_distinguished")
+    __slots__ = ("_latest", "_node", "_spine", "_distinguished")
 
     def __new__(cls, parents=(-1,), labels=(EPSILON,), distinguished: int = 0):
         parents, labels = tuple(parents), tuple(labels)
@@ -195,16 +195,16 @@ class MemoryTree:
         return MemoryTree, (tuple(self.parents), tuple(self.labels), self._distinguished)
 
     def __hash__(self):
-        return self._hash
+        return hash((self._latest[_HASH], self._distinguished))
 
     def __eq__(self, other):
         if self is other:
             return True
         if other.__class__ is not MemoryTree:
             return NotImplemented
-        if self._hash != other._hash or self._distinguished != other._distinguished:
-            return False
         a, b = self._latest, other._latest
+        if a[_HASH] != b[_HASH] or self._distinguished != other._distinguished:
+            return False
         while a is not b:  # equal indices all the way, so both reach None together
             if a[:3] != b[:3] or a[_HASH] != b[_HASH]:
                 return False
@@ -282,7 +282,6 @@ def _tree(latest, node, spine, distinguished):
     tree._latest = latest
     tree._node = node
     tree._spine = spine
-    tree._hash = hash((latest[_HASH], distinguished))
     tree._distinguished = distinguished
     return tree
 
@@ -308,8 +307,7 @@ def apply(op: StackOp, tree: MemoryTree):
         index = latest[_INDEX] + 1
         v = node[_INDEX]
         # _node(index, symbol, v, node, latest, tree._spine), inlined: push is the hot path
-        h = hash((latest[_HASH], v, symbol))
-        new = (index, symbol, v, node, latest, tree._spine, h)
+        new = (index, symbol, v, node, latest, tree._spine, hash((latest[_HASH], v, symbol)))
         return _tree(new, new, None, index)
     if kind == "stay":
         return tree

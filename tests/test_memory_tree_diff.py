@@ -114,8 +114,10 @@ def test_equality_does_not_trust_equal_hashes():
     a = apply_word([push("x"), push("y")], empty_tree())
     b = apply_word([push("x"), push("x")], empty_tree())
     c = MemoryTree(a.parents, a.labels, a.distinguished)
-    for t in (a, b, c):  # force a hash collision past the immutability guard
-        object.__setattr__(t, "_hash", 0)
+    for t in (a, b, c):  # force a hash collision past the immutability guard:
+        # the tree hash comes from the latest node's stored hash, its last field
+        object.__setattr__(t, "_latest", t._latest[:-1] + (0,))
+    assert hash(a) == hash(b) == hash(c)
     assert a != b and b != a
     assert a == c
 

@@ -1,7 +1,8 @@
 """The successor kernel against a brute-force scan of the edge list, the
 searches built on it against each other and against a model over tuple
-trees, the relations between verdicts under different caps, and the work
-the searches do, counted at the kernel."""
+trees, the relations between verdicts under different caps and between
+searches at neighbouring horizons, and the work the searches do, counted
+at the kernel."""
 
 from itertools import product
 
@@ -12,7 +13,7 @@ import reference_search
 from conftest import FIXTURES, free_group_wp_machine, load_machine, random_trees, tree_ops
 from nestedstack import machine as machine_module
 from nestedstack.cli import main
-from nestedstack.config_graph import BuildHorizon, build
+from nestedstack.config_graph import BuildHorizon, build, lift_path
 from nestedstack.hom import parse_homomorphism, preimage
 from nestedstack.machine import (
     ACCEPTED,
@@ -261,6 +262,33 @@ def test_a_silent_cycle_back_to_the_start_of_its_stretch_is_a_revisit():
         assert accepts(cycle, word, ResourceCaps(max_steps=2)) == (REJECTED, None, ())
 
 
+@pytest.mark.parametrize("max_steps", [-1, 0])
+def test_a_step_cap_below_one_stops_every_search_before_its_first_step(max_steps):
+    caps = ResourceCaps(max_steps=max_steps)
+    anbn = load_machine("anbn.nsa")
+    assert accepts(anbn, "ab", caps) == (CAP_EXCEEDED, None, ("max_steps",))
+    assert accepts(EVEN_PALINDROMES, "aa", caps) == (CAP_EXCEEDED, None, ("max_steps",))
+    trace = run_trace(anbn, "ab", caps)
+    assert (trace.stopped, trace.steps, trace.consumed, trace.accepted_at) == ("max_steps", (), 0, ())
+    lift = lift_path(anbn, "ab", caps)
+    assert (lift.status, lift.labels, lift.consumed, len(lift.configs)) == ("cap_exceeded", [], 0, 1)
+    with pytest.raises(EnumerationCapExceeded, match="max_steps"):
+        enumerate_accepted(anbn, 2, caps)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_negative_step_cap_acts_as_zero(name):
+    machine = load_machine(name)
+    below, zero = ResourceCaps(max_steps=-1), ResourceCaps(max_steps=0)
+    for word in words_up_to(machine.input_alphabet, 2):
+        assert accepts(machine, word, below) == accepts(machine, word, zero)
+        assert run_trace(machine, word, below) == run_trace(machine, word, zero)
+        if machine.deterministic:  # a lift draws one step, which may be nondeterministic
+            assert lift_path(machine, word, below) == lift_path(machine, word, zero)
+    with pytest.raises(EnumerationCapExceeded, match="max_steps"):
+        enumerate_accepted(machine, 1, below)
+
+
 def test_a_machine_wrongly_marked_deterministic_raises(monkeypatch):
     popcycle = load_machine("popcycle.nsa")
     assert accepts(popcycle, "aa").verdict == ACCEPTED  # by the search
@@ -270,6 +298,58 @@ def test_a_machine_wrongly_marked_deterministic_raises(monkeypatch):
     monkeypatch.setattr(Machine, "deterministic", True)
     monkeypatch.chdir(FIXTURES.parent)
     assert main(["accept", "fixtures/popcycle.nsa", "--word", "aa"]) == 4
+
+
+# --- searches at neighbouring horizons ------------------------------------------
+#
+# No oracle gives the "true" answer at a horizon, but a search one step
+# further must extend the search at the horizon.  Configurations compare by
+# value here, so these relations also exercise the trees' hash and equality.
+
+HORIZONS = st.builds(BuildHorizon, st.integers(0, 4), st.integers(1, 400), st.none() | st.integers(0, 6))
+
+
+def build_relations(machine, horizon, field):
+    """`build` at `horizon` against the horizon one further along `field`."""
+    small = build(machine, horizon)
+    big = build(machine, horizon._replace(**{field: getattr(horizon, field) + 1}))
+    if field != "max_vertices" and len(big.vertices) >= big.horizon.max_vertices:
+        return False  # the vertex cap may have cut `big` short: nothing to compare
+    assert set(small.vertices) <= set(big.vertices)
+    assert {small.vertices[v] for v in small.coaccessible} <= {big.vertices[v] for v in big.coaccessible}
+    if not small.truncated:
+        assert big._replace(horizon=None) == small._replace(horizon=None)
+    return True
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_build_extends_to_the_next_horizon_on_fixtures(name):
+    machine = load_machine(name)
+    compared = 0
+    for tree_edges, depth in product(range(4), (None, 0, 1, 3)):
+        for field in ("max_tree_edges", "max_vertices") + (("max_depth",) if depth is not None else ()):
+            compared += build_relations(machine, BuildHorizon(tree_edges, 300, depth), field)
+    assert compared
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=MACHINES, horizon=HORIZONS, field=st.sampled_from(["max_tree_edges", "max_vertices", "max_depth"]))
+def test_build_extends_to_the_next_horizon(machine, horizon, field):
+    assume(field != "max_depth" or horizon.max_depth is not None)
+    build_relations(machine, horizon, field)
+
+
+ENUMERATION_CAPS = st.builds(ResourceCaps, st.integers(0, 400), st.integers(0, 4), st.integers(0, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(machine=MACHINES, n=st.integers(0, 4), caps=ENUMERATION_CAPS)
+def test_enumeration_extends_to_the_next_length(machine, n, caps):
+    try:
+        shorter, longer = enumerate_accepted(machine, n, caps), enumerate_accepted(machine, n + 1, caps)
+    except EnumerationCapExceeded:
+        assume(False)
+    assert shorter == {w for w in longer if len(w) <= n}
 
 
 # --- the work the searches do --------------------------------------------------
