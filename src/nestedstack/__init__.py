@@ -18,8 +18,7 @@ _EXPORTS = {
         "ACCEPTED", "CAP_EXCEEDED", "REJECTED", "AcceptResult", "Computation", "Edge",
         "Machine", "MachineError", "MachineParseError", "ResourceCaps", "accepts",
         "check_deterministic", "check_limited_erasing", "deterministic_run",
-        "enumerate_accepted", "format_machine", "parse_machine", "parse_word",
-        "run_trace", "successors",
+        "enumerate_accepted", "format_machine", "parse_machine", "run_trace", "successors",
     ),
     "hom": ("Homomorphism", "parse_homomorphism", "preimage", "publish_reserved_names"),
     "config_graph": (
@@ -30,10 +29,9 @@ _EXPORTS = {
         "QuotientGraph", "check_tree", "is_pushdown", "nonerasing_classes", "quotient",
         "quotient_distortion",
     ),
-    "group_geometry": (
-        "CayleyWindow", "GroupOracle", "ball", "ends_probe", "make_oracle", "min_separator",
-        "narrowness_probe", "qi_check",
-    ),
+    "groups": ("GroupOracle", "make_oracle"),
+    "group_geometry": ("CayleyWindow", "ball", "ends_probe", "min_separator", "narrowness_probe", "qi_check"),
+    "cli_common": ("parse_word",),
 }
 
 # public name -> the submodule that defines it

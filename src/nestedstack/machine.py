@@ -267,14 +267,6 @@ def format_machine(machine: Machine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_word(text: str) -> Word:
-    """A word from CLI text: whitespace-separated tokens, or one letter per
-    character when there is no whitespace."""
-    if text.split() != [text]:
-        return tuple(text.split())
-    return tuple(text)
-
-
 # --- running machines ---------------------------------------------------
 
 

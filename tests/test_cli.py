@@ -364,13 +364,41 @@ def test_negative_counts_exit_usage(capsys):
     assert code == 0 and out.startswith("1 configurations")
 
 
+@pytest.mark.parametrize("argv", [
+    ["cg", "dot", "--machine", ANBN, "-o"],
+    ["pda", "quotient", "--machine", ANBN, "--horizon", "4", "--dot"],
+    ["preimage", QUAD, "--hom", str(FIXTURES / "collapse_pq.hom"), "-o"],
+], ids=["cg dot", "pda quotient", "preimage"])
+def test_unwritable_output_exits_usage(capsys, tmp_path, argv):
+    target = str(tmp_path / "missing" / "out")
+    code, out, err = run(capsys, *argv, target)
+    assert code == 2 and out == ""
+    assert_one_line_error(err)
+    assert err.startswith(f"{target}: [Errno 2] No such file or directory")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["group", "ends", "--group", "abelian 1", "--radius", "-1", "--window", "3"], "radius must be"),
+    (["group", "separator", "--group", "abelian 1", "--radius", "0", "--window", "-1", "--centers", "", "aaa"],
+     "window must be"),
+    (["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2",
+      "--samples", str(FIXTURES / "double.qi"), "--window", "-1"], "window must be"),
+], ids=["ends radius", "separator window", "qi window"])
+def test_negative_radius_or_window_exits_usage(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert_one_line_error(err)
+    assert err == f"error: {message} non-negative\n"
+
+
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     import nestedstack.cli as cli
+    import nestedstack.cli_machine as cli_machine
 
     def boom(*args, **kwargs):
         raise RuntimeError("line one\nline two")
 
-    monkeypatch.setattr(cli, "accepts", boom)
+    monkeypatch.setattr(cli_machine, "accepts", boom)
     code, out, err = run(capsys, "accept", QUAD, "--word", "abcd")
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""

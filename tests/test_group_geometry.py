@@ -195,6 +195,15 @@ def test_ends_window_precondition(line):
         ends_probe(line, 3, 5)
 
 
+def test_negative_radius_and_window_are_named(line):
+    with pytest.raises(ValueError, match="^radius must be non-negative$"):
+        ends_probe(line, -1, 3)
+    with pytest.raises(ValueError, match="^window must be non-negative$"):
+        min_separator(line, (), "aaa", 0, -1)
+    with pytest.raises(ValueError, match="^window must be non-negative$"):
+        qi_check(line, line, [("", "")], 1, density_window=-1)
+
+
 # --- quasi-isometry ----------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from nestedstack.cli_common import parse_word
 from nestedstack.machine import (
     ACCEPTED,
     CAP_EXCEEDED,
@@ -17,7 +18,6 @@ from nestedstack.machine import (
     enumerate_accepted,
     format_machine,
     parse_machine,
-    parse_word,
     run_trace,
     successors,
 )

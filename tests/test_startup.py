@@ -22,24 +22,27 @@ from test_golden import CASES, GOLDEN, ROOT, _exit_codes
 
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
+# `cli` itself never shows up in a `-m` run: it runs as `__main__`, and a
+# handler module that imported it would compile it a second time.
 MACHINE = {"machine", "memory_tree"}
-GRAPH = MACHINE | {"config_graph", "graphs"}
-GROUP = MACHINE | {"group_geometry", "graphs"}
+COMMAND = MACHINE | {"cli_common", "cli_machine"}
+GRAPH = MACHINE | {"cli_common", "cli_graph", "config_graph", "graphs"}
+GROUP = {"cli_common", "cli_group", "group_geometry", "groups", "graphs"}
 
 # command -> (golden case, the nestedstack submodules it may load)
 STARTUP = {
-    ("validate",): ("validate_quad", MACHINE),
-    ("accept",): ("accept_quad", MACHINE),
-    ("run",): ("run_quad_json", MACHINE),
-    ("enumerate",): ("enumerate_anbn", MACHINE),
-    ("check-det",): ("check_det_popcycle", MACHINE),
-    ("check-erasing",): ("check_erasing_quad", MACHINE | {"graphs"}),
-    ("trace",): ("trace_quad_abcd", MACHINE),
-    ("preimage",): ("preimage_quad_block4", MACHINE | {"hom"}),
+    ("validate",): ("validate_quad", COMMAND),
+    ("accept",): ("accept_quad", COMMAND),
+    ("run",): ("run_quad_json", COMMAND),
+    ("enumerate",): ("enumerate_anbn", COMMAND),
+    ("check-det",): ("check_det_popcycle", COMMAND),
+    ("check-erasing",): ("check_erasing_quad", COMMAND | {"graphs"}),
+    ("trace",): ("trace_quad_abcd", COMMAND),
+    ("preimage",): ("preimage_quad_block4", COMMAND | {"hom"}),
     ("cg", "build"): ("cg_build_anbn_json", GRAPH),
     ("cg", "dot"): ("cg_dot_anbn", GRAPH),
     ("cg", "lift"): ("cg_lift_quad_stuck", GRAPH),
-    ("cg", "project"): ("cg_project_zcount", GRAPH | {"group_geometry"}),
+    ("cg", "project"): ("cg_project_zcount", GRAPH | {"groups"}),
     ("pda", "quotient"): ("pda_quotient_anbn", GRAPH | {"pda_quotient"}),
     ("group", "ball"): ("group_ball_free2", GROUP),
     ("group", "separator"): ("group_separator_free2_json", GROUP),
@@ -53,13 +56,14 @@ PUBLIC = {
     "memory_tree": "EPSILON STAY UNDEFINED MemoryTree StackOp apply apply_word down empty_tree pop push up validate",
     "machine": "ACCEPTED CAP_EXCEEDED REJECTED AcceptResult Computation Edge Machine MachineError "
                "MachineParseError ResourceCaps accepts check_deterministic check_limited_erasing "
-               "deterministic_run enumerate_accepted format_machine parse_machine parse_word run_trace "
-               "successors",
+               "deterministic_run enumerate_accepted format_machine parse_machine run_trace successors",
     "hom": "Homomorphism parse_homomorphism preimage publish_reserved_names",
     "config_graph": "BuildHorizon ConfigGraph Configuration UNBOUNDED_WITHIN_HORIZON build check_degrees "
                     "export_dot lift_path max_eps_run project vertex_name",
     "pda_quotient": "QuotientGraph check_tree is_pushdown nonerasing_classes quotient quotient_distortion",
-    "group_geometry": "CayleyWindow GroupOracle ball ends_probe make_oracle min_separator narrowness_probe qi_check",
+    "groups": "GroupOracle make_oracle",
+    "group_geometry": "CayleyWindow ball ends_probe min_separator narrowness_probe qi_check",
+    "cli_common": "parse_word",
 }
 
 
@@ -110,7 +114,31 @@ def test_import_loads_no_submodule():
 
 def test_cli_import_loads_no_dataclasses():
     code, _, loaded = fresh("import sys, nestedstack.cli; " + REPORT)
-    assert code == 0 and loaded == MACHINE | {"cli"}
+    assert code == 0 and loaded == {"cli", "cli_common"}
+
+
+def run_module(*argv):
+    """`python -m nestedstack.cli ARGV`: exit code, stdout and stderr bytes."""
+    proc = subprocess.run([sys.executable, "-m", "nestedstack.cli", *argv], cwd=ROOT, env=ENV,
+                          capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# A usage error raised in a handler module exits 2 under `-m` only while
+# that module shares `cli`'s `_UsageError` class; a handler module that
+# imported `nestedstack.cli` would get a second copy, and the error would
+# exit 4 as an internal error.
+@pytest.mark.parametrize("case", ["usage_group_qi_k", "usage_cg_lift_nondet"])
+def test_usage_error_in_a_handler_exits_usage(case):
+    assert run_module(*dict(CASES)[case]) == (2, b"", (GOLDEN / f"{case}.err").read_bytes())
+    assert _exit_codes()[case] == 2
+
+
+def test_malformed_samples_exit_usage(tmp_path):
+    samples = tmp_path / "bad.qi"
+    samples.write_text("a -> a\nbogus\n", encoding="utf-8")
+    argv = ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2", "--samples", str(samples)]
+    assert run_module(*argv) == (2, b"", f"{samples}:2: expected 'WORD -> WORD'\n".encode())
 
 
 def test_no_source_module_imports_dataclasses():
