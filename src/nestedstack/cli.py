@@ -191,7 +191,7 @@ def _load(args, source: str):
     if source == "--group":
         from .groups import make_oracle
 
-        return _as_usage((ValueError, OSError), make_oracle, args.group)
+        return _as_usage(ValueError, make_oracle, args.group)
     from .machine import parse_machine
 
     return _read(args.machine, parse_machine)

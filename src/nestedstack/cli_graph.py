@@ -60,7 +60,7 @@ def cmd_cg_lift(args, machine):
 def cmd_cg_project(args, machine):
     from .groups import make_oracle
 
-    oracle = _as_usage((ValueError, OSError), make_oracle, args.group, prefix="group spec error")
+    oracle = _as_usage(ValueError, make_oracle, args.group, prefix="group spec error")
     cg = cgmod.build(machine, _horizon(args))
     report = _as_usage(ValueError, cgmod.project, cg, oracle)
     lines = [

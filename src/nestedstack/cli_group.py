@@ -7,7 +7,7 @@ from typing import List, Tuple
 
 from .cli_common import EXIT_NEGATIVE, EXIT_OK, _as_usage, _format_word, _read, parse_word
 from .group_geometry import WindowCapExceeded, ball, ends_probe, min_separator, narrowness_probe, qi_check
-from .groups import make_oracle
+from .groups import LineError, make_oracle
 
 
 def cmd_group_ball(args, oracle):
@@ -98,14 +98,6 @@ def cmd_group_ends(args, oracle):
     return payload, lines, EXIT_OK
 
 
-class _SampleError(ValueError):
-    """A malformed sample line, which `_read` reports as `path:line: message`."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(message)
-        self.line_no, self.message = line_no, message
-
-
 def _parse_samples(text: str) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
     """QI sample lines `WORD -> WORD`; `#` starts a comment."""
     samples = []
@@ -114,14 +106,14 @@ def _parse_samples(text: str) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
         if not line:
             continue
         if "->" not in line:
-            raise _SampleError(line_no, "expected 'WORD -> WORD'")
+            raise LineError(line_no, "expected 'WORD -> WORD'")
         left, _, right = line.partition("->")
         samples.append((parse_word(left.strip()), parse_word(right.strip())))
     return samples
 
 
 def cmd_group_qi(args, oracle):
-    target = _as_usage((ValueError, OSError), make_oracle, args.target)
+    target = _as_usage(ValueError, make_oracle, args.target)
     samples = _read(args.samples, _parse_samples)
     violations = _as_usage(ValueError, qi_check, oracle, target, samples, args.k, args.window)
     lines = [f"checked {len(samples)} samples with k={args.k}: {len(violations)} violations"]

@@ -264,10 +264,15 @@ def narrowness_probe(
     narrowness, not a decision: the property quantifies over all but
     finitely many balls and no finite probe can certify that."""
     cells: List[ProbeCell] = []
+    radii = sorted(set(radii))
+    if radii and radii[0] < 0:
+        raise ValueError("radius must be non-negative")
+    if isinstance(window_radius, int) and window_radius < 0:
+        raise ValueError("window must be non-negative")
     centers = [tuple(c) for c in centers]
     for c in centers:  # a letter that is not a generator raises ValueError
         oracle.canonical(c)
-    for r in sorted(set(radii)):
+    for r in radii:
         for center in centers:
             if window_radius is None:
                 w = oracle.distance((), center) + r + 2

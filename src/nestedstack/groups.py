@@ -13,6 +13,15 @@ Word = Sequence[str]
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+class LineError(ValueError):
+    """A malformed line of an input file, which the CLI reports as
+    `path:line: message`."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no, self.message = line_no, message
+
+
 class GroupOracle:
     """Canonical forms and letter multiplication for a finitely generated
     group; every derived notion (word problem, metric, Cayley graph) is
@@ -274,34 +283,29 @@ def parse_finite_table(text: str) -> FiniteGroup:
             elements = tokens
         elif key == "identity":
             if len(tokens) != 1:
-                raise ValueError(f"line {line_no}: identity takes one element")
+                raise LineError(line_no, "identity takes one element")
             identity = tokens[0]
         elif key == "generators":
             for tok in tokens:
                 if "=" not in tok:
-                    raise ValueError(f"line {line_no}: generators are LETTER=ELEMENT")
+                    raise LineError(line_no, "generators are LETTER=ELEMENT")
                 letter, _, elem = tok.partition("=")
                 generator_map[letter] = elem
         elif key == "mul":
             if len(tokens) != 3:
-                raise ValueError(f"line {line_no}: mul takes three elements")
+                raise LineError(line_no, "mul takes three elements")
             table[(tokens[0], tokens[1])] = tokens[2]
         else:
-            raise ValueError(f"line {line_no}: unknown section {key!r}")
+            raise LineError(line_no, f"unknown section {key!r}")
     if identity is None or not elements or not generator_map:
         raise ValueError("table needs elements, identity, and generators")
     return FiniteGroup(elements, identity, table, generator_map)
 
 
-def make_oracle(spec: str, read_file=None) -> GroupOracle:
+def make_oracle(spec: str) -> GroupOracle:
     """Build an oracle from a spec such as `free 2`, `abelian 1`,
     `finite tables/z2.grp`, or `product free 1 abelian 2` (the optional
-    `group:` prefix is accepted)."""
-    if read_file is None:
-        def read_file(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read()
-
+    `group:` prefix is accepted).  Every error is a ValueError."""
     tokens = spec.split()
     if tokens and tokens[0] in ("group:", "group"):
         tokens = tokens[1:]
@@ -319,7 +323,14 @@ def make_oracle(spec: str, read_file=None) -> GroupOracle:
         if head == "finite":
             if pos + 1 >= len(tokens):
                 raise ValueError("finite needs a table file")
-            return parse_finite_table(read_file(tokens[pos + 1])), pos + 2
+            path = tokens[pos + 1]
+            try:  # every table error names the file, as `path[:line]: message`
+                with open(path, "r", encoding="utf-8") as fh:
+                    return parse_finite_table(fh.read()), pos + 2
+            except LineError as exc:
+                raise ValueError(f"{path}:{exc.line_no}: {exc.message}") from None
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"{path}: {exc}") from None
         if head == "product":
             left, nxt = parse(pos + 1)
             right, nxt = parse(nxt)

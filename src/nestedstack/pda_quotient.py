@@ -15,7 +15,6 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 from .config_graph import ConfigGraph, Configuration, dot_quote
 from .graphs import bfs_distances, fundamental_cycle
 from .machine import Machine
-from .memory_tree import MemoryTree
 
 
 def is_pushdown(machine: Machine) -> bool:
@@ -24,48 +23,39 @@ def is_pushdown(machine: Machine) -> bool:
     return all(e.op.kind not in ("up", "down") for e in machine.edges)
 
 
-def _branch(tree: MemoryTree) -> Tuple[str, ...]:
-    labels = tree.branch_labels()
-    if labels is None:
-        raise ValueError("pushdown configuration has a branching memory tree")
-    return labels
-
-
 def nonerasing_classes(cg: ConfigGraph) -> List[List[int]]:
     """Partition of the explored configuration ids: two configurations with
     tree T merge when an undirected explored path joins them along which
     every tree extends T.  Classes list their ids ascending and are ordered
     by their first id.
 
-    Computed directly per tree value by filtered connectivity; the explored
-    graph is the semantics here, so no symbolic shortcut is taken.  Every
-    configuration has one branch, and within a branch the relation is
-    already transitive, so each filtered component holds exactly one class:
-    the members of its branch that it reaches."""
+    One union-find sweep (Tarjan 1975), deepest configurations first.  A
+    pushdown tree is one branch with the pointer at its leaf, so its depth
+    is its edge count, and an explored edge changes only its last symbol.
+    A path that starts at tree T and never drops below depth |T| therefore
+    keeps T as a prefix: the paths the relation allows are exactly those
+    within depth >= |T|, and the depth-|T| members of one component of that
+    subgraph all have tree T.  So once every edge whose two ends both lie at
+    depth >= d is joined, the depth-d configurations under one root form one
+    class."""
     if not is_pushdown(cg.machine):
         raise ValueError("tree quotient is defined for pushdown machines only")
-    branch_of = [_branch(v.tree) for v in cg.vertices]
-    by_branch: Dict[Tuple[str, ...], List[int]] = {}
-    for v, branch in enumerate(branch_of):
-        by_branch.setdefault(branch, []).append(v)
+    depth = [v.tree.edge_count for v in cg.vertices]
+    edges = sorted((min(depth[s], depth[t]), s, t) for s, t, _ in cg.edges)  # popped deepest first
+    parent = list(range(len(depth)))
 
-    undirected = cg.undirected_adjacency()
-    classes: List[List[int]] = []
-    for branch, members in by_branch.items():
-        if len(members) < 2:
-            classes.append(members)
-            continue
-        k = len(branch)
-        blocked = {v for v, b in enumerate(branch_of) if b[:k] != branch}
-        placed: Set[int] = set()
-        for start in members:
-            if start not in placed:
-                reached = bfs_distances(undirected.__getitem__, [start], blocked)
-                cls = sorted(v for v in reached if branch_of[v] == branch)
-                placed.update(cls)
-                classes.append(cls)
-    classes.sort()  # disjoint classes: by first id
-    return classes
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
+    by_root: Dict[Tuple[int, int], List[int]] = {}
+    for v in sorted(range(len(depth)), key=depth.__getitem__, reverse=True):  # ids ascend within a depth
+        while edges and edges[-1][0] >= depth[v]:
+            _, s, t = edges.pop()
+            parent[find(s)] = find(t)
+        by_root.setdefault((depth[v], find(v)), []).append(v)
+    return sorted(by_root.values())  # disjoint classes: by first id
 
 
 class QuotientGraph(NamedTuple):
@@ -84,20 +74,19 @@ def quotient(cg: ConfigGraph, classes: List[List[int]]) -> QuotientGraph:
     for i, cls in enumerate(classes):
         for v in cls:
             class_of[v] = i
-    edges: Set[Tuple[int, int]] = set()
-    for src, dst, _ in cg.edges:
-        i, j = class_of[src], class_of[dst]
-        if i != j:
-            edges.add((min(i, j), max(i, j)))
+    pairs = ((class_of[src], class_of[dst]) for src, dst, _ in cg.edges)
+    edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
 
-    undirected = cg.undirected_adjacency()
+    neighbors = cg.undirected_adjacency().__getitem__
     diameters = []
     for cls in classes:
-        worst = 0
-        if len(cls) > 1:  # a lone member needs no search
-            for v in cls:
-                dist = bfs_distances(undirected.__getitem__, [v])
-                worst = max(worst, max(dist.get(w, 0) for w in cls))
+        worst, r = 0, 1
+        for v in cls if len(cls) > 1 else ():  # a lone member needs no search
+            dist = bfs_distances(neighbors, [v], max_depth=r)
+            while not all(w in dist for w in cls):  # a class is connected, so this ends
+                r *= 2
+                dist = bfs_distances(neighbors, [v], max_depth=r)
+            worst = max(worst, max(dist[w] for w in cls))
         diameters.append(worst)
     return QuotientGraph(classes, class_of, edges, diameters, cg.vertices)
 

@@ -1,13 +1,27 @@
-"""The tree-quotient classes as computed before `nonerasing_classes` used
-one breadth-first search per class: a filtered depth-first search per
-branch, merged by a union-find.  Kept unchanged as a differential oracle
-for the classes `nestedstack.pda_quotient.nonerasing_classes` returns.
-It works on configurations; ids are translated only on the way in and out."""
+"""Two earlier computations of the tree-quotient classes, and the earlier
+quotient, kept unchanged as differential oracles for
+`nestedstack.pda_quotient`:
+
+- `union_find_classes`: a filtered depth-first search per branch, merged by
+  a union-find over configurations;
+- `per_branch_classes`: one breadth-first search per class, filtered to the
+  configurations whose branch extends the class's branch;
+- `full_search_quotient`: the quotient with class diameters from one
+  full-graph breadth-first search per member of every class."""
 
 from typing import Dict, List, Set, Tuple
 
 from nestedstack.config_graph import ConfigGraph, Configuration
-from nestedstack.pda_quotient import _branch, is_pushdown
+from nestedstack.graphs import bfs_distances
+from nestedstack.memory_tree import MemoryTree
+from nestedstack.pda_quotient import QuotientGraph, is_pushdown
+
+
+def _branch(tree: MemoryTree) -> Tuple[str, ...]:
+    labels = tree.branch_labels()
+    if labels is None:
+        raise ValueError("pushdown configuration has a branching memory tree")
+    return labels
 
 
 class _UnionFind:
@@ -28,13 +42,14 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def nonerasing_classes(cg: ConfigGraph) -> List[List[int]]:
+def union_find_classes(cg: ConfigGraph) -> List[List[int]]:
     """Partition of the explored configurations: two configurations with
     tree T merge when an undirected explored path joins them along which
     every tree extends T.
 
     Computed directly per tree value by filtered connectivity; the explored
-    graph is the semantics here, so no symbolic shortcut is taken."""
+    graph is the semantics here, so no symbolic shortcut is taken.  It works
+    on configurations; ids are translated only on the way in and out."""
     if not is_pushdown(cg.machine):
         raise ValueError("tree quotient is defined for pushdown machines only")
     by_branch: Dict[Tuple[str, ...], List[Configuration]] = {}
@@ -72,3 +87,59 @@ def nonerasing_classes(cg: ConfigGraph) -> List[List[int]]:
     order = {v: i for i, v in enumerate(cg.vertices)}
     classes = sorted(groups.values(), key=lambda c: min(order[v] for v in c))
     return [sorted(order[v] for v in cls) for cls in classes]
+
+
+def per_branch_classes(cg: ConfigGraph) -> List[List[int]]:
+    """The same partition by one filtered breadth-first search per class.
+    Within a branch the relation is already transitive, so each filtered
+    component holds exactly one class: the members of its branch that it
+    reaches."""
+    if not is_pushdown(cg.machine):
+        raise ValueError("tree quotient is defined for pushdown machines only")
+    branch_of = [_branch(v.tree) for v in cg.vertices]
+    by_branch: Dict[Tuple[str, ...], List[int]] = {}
+    for v, branch in enumerate(branch_of):
+        by_branch.setdefault(branch, []).append(v)
+
+    undirected = cg.undirected_adjacency()
+    classes: List[List[int]] = []
+    for branch, members in by_branch.items():
+        if len(members) < 2:
+            classes.append(members)
+            continue
+        k = len(branch)
+        blocked = {v for v, b in enumerate(branch_of) if b[:k] != branch}
+        placed: Set[int] = set()
+        for start in members:
+            if start not in placed:
+                reached = bfs_distances(undirected.__getitem__, [start], blocked)
+                cls = sorted(v for v in reached if branch_of[v] == branch)
+                placed.update(cls)
+                classes.append(cls)
+    classes.sort()  # disjoint classes: by first id
+    return classes
+
+
+def full_search_quotient(cg: ConfigGraph, classes: List[List[int]]) -> QuotientGraph:
+    """The quotient graph on the classes, with each class diameter the
+    largest full-graph distance between two of its members."""
+    class_of = [0] * len(cg.vertices)
+    for i, cls in enumerate(classes):
+        for v in cls:
+            class_of[v] = i
+    edges: Set[Tuple[int, int]] = set()
+    for src, dst, _ in cg.edges:
+        i, j = class_of[src], class_of[dst]
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
+
+    undirected = cg.undirected_adjacency()
+    diameters = []
+    for cls in classes:
+        worst = 0
+        if len(cls) > 1:  # a lone member needs no search
+            for v in cls:
+                dist = bfs_distances(undirected.__getitem__, [v])
+                worst = max(worst, max(dist.get(w, 0) for w in cls))
+        diameters.append(worst)
+    return QuotientGraph(classes, class_of, edges, diameters, cg.vertices)

@@ -101,11 +101,30 @@ def test_parse_errors_name_the_line_once(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (2, "", f"{samples}:2: expected 'WORD -> WORD'\n")
 
 
+def test_group_table_errors_name_the_file(capsys, tmp_path):
+    table = tmp_path / "bad.grp"
+    table.write_text("elements: e a\nidentity: e\ngenerators: a=a\nmul: e e\n")
+    code, out, err = run(capsys, "group", "ball", "--group", f"finite {table}", "--radius", "1")
+    assert (code, out, err) == (2, "", f"error: {table}:4: mul takes three elements\n")
+    code, out, err = run(capsys, "cg", "project", "--machine", ANBN, "--group", f"finite {table}")
+    assert (code, out, err) == (2, "", f"group spec error: {table}:4: mul takes three elements\n")
+    missing = tmp_path / "missing.grp"
+    code, out, err = run(capsys, "group", "ends", "--group", f"finite {missing}", "--radius", "1", "--window", "4")
+    assert (code, out) == (2, "")
+    assert err == f"error: {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_trace_marks_accept(capsys):
     code, out, _ = run(capsys, "trace", QUAD, "--word", "abcd")
     assert code == 0
     assert "*accept*" in out
     assert "consumed 4/4" in out
+
+
+def test_trace_marks_an_accepting_initial_configuration(capsys):
+    code, out, _ = run(capsys, "trace", ANBN, "--word", "")
+    assert code == 0
+    assert out == "  0. (initial configuration) *accept*\nhalted at state 1, tree ε@0, consumed 0/0 letters\n"
 
 
 def test_preimage_output_reloadable(capsys, tmp_path):
@@ -143,6 +162,14 @@ def test_cg_build_and_dot_reproducible(capsys):
     assert code == code2 == 0
     assert out1 == out2
     assert "yxx2" in out1
+
+
+def test_cg_dot_writes_the_file_it_names(capsys, tmp_path):
+    target = tmp_path / "graph.dot"
+    code, out, err = run(capsys, "cg", "dot", "--machine", QUAD, "--horizon", "4", "-o", str(target))
+    assert (code, out, err) == (0, "", "")
+    _, printed, _ = run(capsys, "cg", "dot", "--machine", QUAD, "--horizon", "4")
+    assert target.read_text(encoding="utf-8") == printed
 
 
 def test_cg_dot_labels_are_distinct_for_long_state_ids(capsys, tmp_path):
@@ -383,7 +410,10 @@ def test_unwritable_output_exits_usage(capsys, tmp_path, argv):
      "window must be"),
     (["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2",
       "--samples", str(FIXTURES / "double.qi"), "--window", "-1"], "window must be"),
-], ids=["ends radius", "separator window", "qi window"])
+    (["group", "probe", "--group", "abelian 1", "--radius", "1", "--centers", "aaaa", "--window", "-1"],
+     "window must be"),
+    (["group", "probe", "--group", "abelian 1", "--radius", "2", "-1", "--centers", "aaaa"], "radius must be"),
+], ids=["ends radius", "separator window", "qi window", "probe window", "probe radius"])
 def test_negative_radius_or_window_exits_usage(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

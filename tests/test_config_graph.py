@@ -298,6 +298,15 @@ def test_lift_takes_at_most_max_steps_steps(anbn):
     assert lift_path(anbn, "ab", ResourceCaps(max_steps=0)).labels == []
 
 
+def test_lift_stops_once_the_tree_passes_its_cap(anbn):
+    # the second `a` pushes a second edge, one over the cap: that step is
+    # listed, and the lift stops before the `b`
+    capped = lift_path(anbn, "aab", ResourceCaps(max_tree_edges=1))
+    assert (capped.status, capped.labels, capped.consumed) == ("cap_exceeded", ["a", "a"], 2)
+    assert [vertex_name(c) for c in capped.configs] == ["ε1", "x2", "xx2"]
+    assert lift_path(anbn, "aabb", ResourceCaps(max_tree_edges=2)).status == "ok"
+
+
 def test_lift_raises_on_nondeterminism():
     machine = parse_machine(
         "states: 1 2\nstart: 1\nfinal: 1\ninput: a\nmemory: x y\n"

@@ -69,6 +69,60 @@ mul: a a a
         parse_finite_table(bad)  # a has no inverse
 
 
+def table_text(elements="e a", identity="e", generators="a=a", muls=("e e e", "e a a", "a e a", "a a e")):
+    """A table file, by default the one of Z/2 in `fixtures/z2.grp`."""
+    head = f"elements: {elements}\nidentity: {identity}\ngenerators: {generators}\n"
+    return head + "".join(f"mul: {m}\n" for m in muls)
+
+
+Z3 = ("e e e", "e a a", "e b b", "a e a", "b e b", "a a b", "a b e", "b a e", "b b a")
+NOT_ASSOCIATIVE = ("e e e", "e a a", "e b b", "a e a", "b e b", "a a b", "a b b", "b a a", "b b a")
+
+
+@pytest.mark.parametrize("text,where,message", [
+    (table_text(identity="e a"), ":2", "identity takes one element"),
+    (table_text(generators="a"), ":3", "generators are LETTER=ELEMENT"),
+    (table_text(muls=("e e",)), ":4", "mul takes three elements"),
+    (table_text() + "order: 2\n", ":8", "unknown section 'order'"),
+    (table_text(generators=""), "", "table needs elements, identity, and generators"),
+    (table_text(elements="e a a"), "", "duplicate element"),
+    (table_text(identity="x"), "", "identity is not an element"),
+    (table_text(muls=("e e e", "e a a", "a e a")), "", "multiplication table is missing a * a"),
+    (table_text(muls=("e e e", "e a a", "a e a", "a a z")), "", "a * a is not an element"),
+    (table_text(muls=("e e e", "e a e", "a e a", "a a e")), "", "identity law fails at a"),
+    (table_text("e a b", generators="a=a b=b", muls=NOT_ASSOCIATIVE), "", "associativity fails at (a, a, a)"),
+    (table_text(muls=("e e e", "e a a", "a e a", "a a a")), "", "element 'a' has no inverse; not a group table"),
+    (table_text(generators="a=z"), "", "generator 'a' maps to unknown element 'z'"),
+    (table_text("e a b", generators="x=a", muls=Z3), "", "generator 'x' has no formal inverse letter"),
+    (table_text(generators="x=e"), "", "generators do not generate the whole group"),
+])
+def test_malformed_table_errors_name_the_file(tmp_path, text, where, message):
+    path = tmp_path / "t.grp"
+    path.write_text(text)
+    with pytest.raises(ValueError) as caught:
+        make_oracle(f"finite {path}")
+    assert str(caught.value) == f"{path}{where}: {message}"
+
+
+def test_missing_table_names_the_file(tmp_path):
+    path = tmp_path / "missing.grp"
+    with pytest.raises(ValueError) as caught:
+        make_oracle(f"product abelian 1 finite {path}")
+    assert str(caught.value) == f"{path}: [Errno 2] No such file or directory: '{path}'"
+
+
+def test_finite_table_norm_and_product_with_a_self_inverse_generator():
+    z2 = make_oracle(f"finite {FIXTURES / 'z2.grp'}")
+    assert (z2.norm(z2.identity), z2.norm(z2.canonical("a"))) == (0, 1)
+    product = make_oracle(f"product abelian 1 finite {FIXTURES / 'z2.grp'}")
+    assert product.generators == ("a", "A", "b")  # z2's `a` is its own inverse: one letter
+    assert [product.inverse_letter(x) for x in product.generators] == ["A", "a", "b"]
+    assert product.describe(product.canonical("aab")) == "((2), a)"
+    assert product.distance("", "aab") == 3
+    assert product.distance("b", "Ab") == 1
+    assert product.canonical("bb") == product.identity
+
+
 def test_product_relabels_generators():
     product = make_oracle("product abelian 1 abelian 1")
     assert product.generators == ("a", "A", "b", "B")
@@ -169,6 +223,21 @@ def test_probe_trends(free2, grid2):
     assert tree_probe.max_cut(1) == tree_probe.max_cut(2) == 1
     grid_probe = narrowness_probe(grid2, (1, 2, 3), ["a" * 8])
     assert grid_probe.trend() == "increasing"
+
+
+def test_probe_trend_mixed(grid2):
+    # a fixed window of radius 8: the cut grows from r=0 to r=1, then the
+    # window stops it growing
+    table = narrowness_probe(grid2, (0, 1, 2), ["a" * 6], window_radius=8)
+    assert [table.max_cut(r) for r in (0, 1, 2)] == [3, 5, 5]
+    assert table.trend() == "mixed"
+
+
+def test_probe_refuses_a_negative_radius_or_window(line):
+    with pytest.raises(ValueError, match="radius must be non-negative"):
+        narrowness_probe(line, (1, -1), ["aaaa"])
+    with pytest.raises(ValueError, match="window must be non-negative"):
+        narrowness_probe(line, (1,), ["aaaa"], window_radius=-1)
 
 
 def test_probe_records_errors_per_cell(grid2):

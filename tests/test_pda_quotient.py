@@ -15,7 +15,7 @@ from nestedstack.pda_quotient import (
     quotient_distortion,
 )
 from nestedstack.memory_tree import EPSILON, STAY, empty_tree, pop, push
-from quotient_oracle import nonerasing_classes as union_find_classes
+from quotient_oracle import full_search_quotient, per_branch_classes, union_find_classes
 
 
 def classes_at(machine, cap):
@@ -104,6 +104,15 @@ def test_trivial_single_state_machine_distortion_zero():
     assert check_tree(q) is None
 
 
+def test_class_diameter_is_its_widest_pair():
+    # one class on the empty tree, 1 - 0 - 2: its first member sits in the middle
+    machine = parse_machine(
+        "states: 0 1 2\nstart: 0\nfinal: 2\ninput: a\nmemory: x\nedge: 0 1 stay eps\nedge: 0 2 stay a\n"
+    )
+    _, classes, q = classes_at(machine, 0)
+    assert classes == [[0, 1, 2]] and q.class_diameters == [2]
+
+
 def test_stack_machine_graph_is_not_treelike(quad):
     # the quotient only makes sense for pushdown machines; a machine that
     # walks the pointer keeps grid cycles in its explored graph
@@ -132,23 +141,44 @@ def test_quotient_dot_matches_golden(name):
     assert quotient_dot(q).encode("utf-8") == golden.read_bytes()
 
 
-# --- the classes against the union-find oracle ----------------------------------
+# --- the classes and the quotient against the oracles ---------------------------
 
 FIXTURE_MACHINES = {p.name: load_machine(p.name) for p in sorted(FIXTURES.glob("*.nsa"))}
 PUSHDOWN_MACHINES = {name: m for name, m in FIXTURE_MACHINES.items() if is_pushdown(m)}
 PUSHDOWN_MACHINES["free2-word-problem"] = free_group_wp_machine(2)
 
 
+def assert_matches_oracles(cg):
+    """Classes, `class_of`, quotient edges, diameters, the tree verdict and
+    the DOT text, each against the per-branch searches they replaced."""
+    classes = nonerasing_classes(cg)
+    assert classes == per_branch_classes(cg) == union_find_classes(cg)
+    q, reference = quotient(cg, classes), full_search_quotient(cg, classes)
+    assert q.class_of == reference.class_of
+    assert q.edges == reference.edges
+    assert q.class_diameters == reference.class_diameters
+    assert check_tree(q) is None and check_tree(reference) is None  # a pushdown quotient is a forest
+    assert quotient_dot(q) == quotient_dot(reference)
+
+
 @pytest.mark.parametrize("name", sorted(PUSHDOWN_MACHINES))
 def test_classes_match_union_find_oracle_on_fixtures(name):
-    machine = PUSHDOWN_MACHINES[name]
-    for cap in range(13):
-        cg = build(machine, BuildHorizon(max_tree_edges=cap, max_vertices=20_000))
-        assert nonerasing_classes(cg) == union_find_classes(cg), cap
+    # free 2 meets the 20 000-vertex cap at 9; a larger cap only cuts it elsewhere
+    for cap in range(10) if name == "free2-word-problem" else range(13):
+        assert_matches_oracles(build(PUSHDOWN_MACHINES[name], BuildHorizon(max_tree_edges=cap, max_vertices=20_000)))
 
 
 def test_every_pushdown_fixture_is_compared():
     assert {"anbn.nsa", "dyck2.nsa", "popcycle.nsa", "xyblock.nsa", "zcount.nsa"} <= set(PUSHDOWN_MACHINES)
+
+
+def test_anbn_quotient_at_horizon_800_has_its_closed_form(anbn):
+    # 2h+1 configurations; each a^k b^j excursion pairs two of them, so
+    # h+1 classes on a path of h edges, each pair at distance 2
+    cg, classes, q = classes_at(anbn, 800)
+    assert (len(cg.vertices), len(classes), len(q.edges)) == (1601, 801, 800)
+    assert quotient_distortion(q) == 2
+    assert check_tree(q) is None
 
 
 PUSHDOWN_OPS = (push("x"), push("y"), pop("x"), pop("y"), STAY)
@@ -174,8 +204,4 @@ def test_classes_match_union_find_oracle_on_random_machines(states, rows, cap):
         memory_alphabet=frozenset({"x", "y"}),
         edges=edges,
     )
-    cg = build(machine, BuildHorizon(max_tree_edges=cap))
-    classes = nonerasing_classes(cg)
-    assert classes == union_find_classes(cg)
-    # a pushdown quotient is always a forest (see `check_tree`)
-    assert check_tree(quotient(cg, classes)) is None
+    assert_matches_oracles(build(machine, BuildHorizon(max_tree_edges=cap)))
