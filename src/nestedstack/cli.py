@@ -28,7 +28,7 @@ import os
 import sys
 from typing import List, NamedTuple, Optional, Tuple
 
-from .cli_common import EXIT_INTERNAL, EXIT_USAGE, _as_usage, _read, _UsageError
+from .cli_common import EXIT_INTERNAL, EXIT_USAGE, _oracle, _read, _UsageError
 
 SCHEMA = "nestedstack/1"
 
@@ -189,9 +189,7 @@ def _named_command(argv: List[str]) -> Optional[Command]:
 def _load(args, source: str):
     """The command's input: a group oracle, or a parsed machine file."""
     if source == "--group":
-        from .groups import make_oracle
-
-        return _as_usage(ValueError, make_oracle, args.group)
+        return _oracle(args.group)
     from .machine import parse_machine
 
     return _read(args.machine, parse_machine)

@@ -43,6 +43,14 @@ def _read(path: str, parse):
         raise _UsageError(f"{where}: {exc.message}") from None
 
 
+def _oracle(spec: str, prefix: str = "error"):
+    """The group oracle of a spec, whose errors are usage errors; a table
+    file's are reported by `_read`."""
+    from .groups import make_oracle, parse_finite_table
+
+    return _as_usage(ValueError, make_oracle, spec, lambda path: _read(path, parse_finite_table), prefix=prefix)
+
+
 def _write(path: str, text: str) -> None:
     """`text` written to a file; failing is a usage error, `path: message`."""
     try:

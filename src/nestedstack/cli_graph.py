@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from . import config_graph as cgmod
 from .cli_common import (
-    EXIT_CAPPED, EXIT_NEGATIVE, EXIT_OK, _as_usage, _caps, _format_word, _horizon, _read_word, _UsageError, _write,
+    EXIT_CAPPED, EXIT_NEGATIVE, EXIT_OK, _as_usage, _caps, _format_word, _horizon, _oracle, _read_word, _UsageError,
+    _write,
 )
 from .machine import check_deterministic
 
@@ -58,9 +59,7 @@ def cmd_cg_lift(args, machine):
 
 
 def cmd_cg_project(args, machine):
-    from .groups import make_oracle
-
-    oracle = _as_usage(ValueError, make_oracle, args.group, prefix="group spec error")
+    oracle = _oracle(args.group, prefix="group spec error")
     cg = cgmod.build(machine, _horizon(args))
     report = _as_usage(ValueError, cgmod.project, cg, oracle)
     lines = [

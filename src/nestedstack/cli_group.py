@@ -5,9 +5,9 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .cli_common import EXIT_NEGATIVE, EXIT_OK, _as_usage, _format_word, _read, parse_word
+from .cli_common import EXIT_NEGATIVE, EXIT_OK, _as_usage, _format_word, _oracle, _read, parse_word
 from .group_geometry import WindowCapExceeded, ball, ends_probe, min_separator, narrowness_probe, qi_check
-from .groups import LineError, make_oracle
+from .groups import LineError
 
 
 def cmd_group_ball(args, oracle):
@@ -113,7 +113,7 @@ def _parse_samples(text: str) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
 
 
 def cmd_group_qi(args, oracle):
-    target = _as_usage(ValueError, make_oracle, args.target)
+    target = _oracle(args.target)
     samples = _read(args.samples, _parse_samples)
     violations = _as_usage(ValueError, qi_check, oracle, target, samples, args.k, args.window)
     lines = [f"checked {len(samples)} samples with k={args.k}: {len(violations)} violations"]

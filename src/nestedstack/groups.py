@@ -4,7 +4,7 @@ Cayley-graph probes on them live in `group_geometry`."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from .graphs import bfs_distances
 
@@ -30,6 +30,7 @@ class GroupOracle:
     family: str = "?"
     generators: Tuple[str, ...] = ()
     identity = None
+    _inverse: Dict[str, str]  # each generator letter's formal inverse letter
 
     def mult(self, element, letter: str):
         raise NotImplementedError
@@ -39,7 +40,7 @@ class GroupOracle:
         raise NotImplementedError
 
     def inverse_letter(self, letter: str) -> str:
-        raise NotImplementedError
+        return self._inverse[letter]
 
     def canonical(self, word: Word):
         g = self.identity
@@ -96,9 +97,6 @@ class FreeGroup(GroupOracle):
     def norm(self, element):
         return len(element)
 
-    def inverse_letter(self, letter):
-        return self._inverse[letter]
-
     def describe(self, element):
         return "".join(element) or "1"
 
@@ -123,9 +121,6 @@ class FreeAbelianGroup(GroupOracle):
     def norm(self, element):
         return sum(abs(x) for x in element)
 
-    def inverse_letter(self, letter):
-        return self._inverse[letter]
-
     def describe(self, element):
         return "(" + ",".join(str(x) for x in element) + ")"
 
@@ -149,7 +144,7 @@ class FiniteGroup(GroupOracle):
         self.generator_map = dict(generator_map)
         self.generators = tuple(generator_map)
         self._validate()
-        self._inverse_letter = self._pair_letters()
+        self._inverse = self._pair_letters()
         self._norms = self._bfs_norms()
 
     def _validate(self):
@@ -208,9 +203,6 @@ class FiniteGroup(GroupOracle):
     def norm(self, element):
         return self._norms[element]
 
-    def inverse_letter(self, letter):
-        return self._inverse_letter[letter]
-
 
 class DirectProduct(GroupOracle):
     """Direct product with componentwise generators, relabeled a, b, c, ...
@@ -258,9 +250,6 @@ class DirectProduct(GroupOracle):
     def norm(self, element):
         return self.left.norm(element[0]) + self.right.norm(element[1])
 
-    def inverse_letter(self, letter):
-        return self._inverse[letter]
-
     def describe(self, element):
         return f"({self.left.describe(element[0])}, {self.right.describe(element[1])})"
 
@@ -302,10 +291,15 @@ def parse_finite_table(text: str) -> FiniteGroup:
     return FiniteGroup(elements, identity, table, generator_map)
 
 
-def make_oracle(spec: str) -> GroupOracle:
+def _read_table(path: str) -> FiniteGroup:
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_finite_table(fh.read())
+
+
+def make_oracle(spec: str, load_table: Callable[[str], GroupOracle] = _read_table) -> GroupOracle:
     """Build an oracle from a spec such as `free 2`, `abelian 1`,
     `finite tables/z2.grp`, or `product free 1 abelian 2` (the optional
-    `group:` prefix is accepted).  Every error is a ValueError."""
+    `group:` prefix is accepted).  A `finite` table is `load_table(path)`."""
     tokens = spec.split()
     if tokens and tokens[0] in ("group:", "group"):
         tokens = tokens[1:]
@@ -323,14 +317,7 @@ def make_oracle(spec: str) -> GroupOracle:
         if head == "finite":
             if pos + 1 >= len(tokens):
                 raise ValueError("finite needs a table file")
-            path = tokens[pos + 1]
-            try:  # every table error names the file, as `path[:line]: message`
-                with open(path, "r", encoding="utf-8") as fh:
-                    return parse_finite_table(fh.read()), pos + 2
-            except LineError as exc:
-                raise ValueError(f"{path}:{exc.line_no}: {exc.message}") from None
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"{path}: {exc}") from None
+            return load_table(tokens[pos + 1]), pos + 2
         if head == "product":
             left, nxt = parse(pos + 1)
             right, nxt = parse(nxt)

@@ -74,19 +74,23 @@ def quotient(cg: ConfigGraph, classes: List[List[int]]) -> QuotientGraph:
     for i, cls in enumerate(classes):
         for v in cls:
             class_of[v] = i
-    pairs = ((class_of[src], class_of[dst]) for src, dst, _ in cg.edges)
-    edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+    edges: Set[Tuple[int, int]] = set()
+    for src, dst, _ in cg.edges:
+        i, j = class_of[src], class_of[dst]
+        if i != j:
+            edges.add((min(i, j), max(i, j)))
 
     neighbors = cg.undirected_adjacency().__getitem__
     diameters = []
     for cls in classes:
         worst, r = 0, 1
-        for v in cls if len(cls) > 1 else ():  # a lone member needs no search
-            dist = bfs_distances(neighbors, [v], max_depth=r)
-            while not all(w in dist for w in cls):  # a class is connected, so this ends
-                r *= 2
+        if len(cls) > 1:  # a lone member needs no search
+            for v in cls:
                 dist = bfs_distances(neighbors, [v], max_depth=r)
-            worst = max(worst, max(dist[w] for w in cls))
+                while not all(w in dist for w in cls):  # a class is connected, so this ends
+                    r *= 2
+                    dist = bfs_distances(neighbors, [v], max_depth=r)
+                worst = max(worst, max(dist[w] for w in cls))
         diameters.append(worst)
     return QuotientGraph(classes, class_of, edges, diameters, cg.vertices)
 

@@ -105,13 +105,18 @@ def test_group_table_errors_name_the_file(capsys, tmp_path):
     table = tmp_path / "bad.grp"
     table.write_text("elements: e a\nidentity: e\ngenerators: a=a\nmul: e e\n")
     code, out, err = run(capsys, "group", "ball", "--group", f"finite {table}", "--radius", "1")
-    assert (code, out, err) == (2, "", f"error: {table}:4: mul takes three elements\n")
+    assert (code, out, err) == (2, "", f"{table}:4: mul takes three elements\n")
     code, out, err = run(capsys, "cg", "project", "--machine", ANBN, "--group", f"finite {table}")
-    assert (code, out, err) == (2, "", f"group spec error: {table}:4: mul takes three elements\n")
+    assert (code, out, err) == (2, "", f"{table}:4: mul takes three elements\n")
     missing = tmp_path / "missing.grp"
     code, out, err = run(capsys, "group", "ends", "--group", f"finite {missing}", "--radius", "1", "--window", "4")
     assert (code, out) == (2, "")
-    assert err == f"error: {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    assert err == f"{missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    binary = tmp_path / "binary.grp"
+    binary.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "group", "qi", "--group", "abelian 1", "--target", f"finite {binary}",
+                         "--k", "2", "--samples", str(missing))
+    assert (code, out, err) == (2, "", f"{binary}: not UTF-8 text (invalid start byte at byte 0)\n")
 
 
 def test_trace_marks_accept(capsys):

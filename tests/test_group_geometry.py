@@ -1,5 +1,6 @@
 import pytest
 
+from nestedstack.cli_common import _oracle, _UsageError
 from nestedstack.group_geometry import (
     DirectProduct,
     FiniteGroup,
@@ -99,15 +100,19 @@ NOT_ASSOCIATIVE = ("e e e", "e a a", "e b b", "a e a", "b e b", "a a b", "a b b"
 def test_malformed_table_errors_name_the_file(tmp_path, text, where, message):
     path = tmp_path / "t.grp"
     path.write_text(text)
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(ValueError):
         make_oracle(f"finite {path}")
+    with pytest.raises(_UsageError) as caught:  # the CLI's loader names the file
+        _oracle(f"finite {path}")
     assert str(caught.value) == f"{path}{where}: {message}"
 
 
 def test_missing_table_names_the_file(tmp_path):
     path = tmp_path / "missing.grp"
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(OSError):
         make_oracle(f"product abelian 1 finite {path}")
+    with pytest.raises(_UsageError) as caught:
+        _oracle(f"product abelian 1 finite {path}")
     assert str(caught.value) == f"{path}: [Errno 2] No such file or directory: '{path}'"
 
 

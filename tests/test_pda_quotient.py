@@ -163,8 +163,7 @@ def assert_matches_oracles(cg):
 
 @pytest.mark.parametrize("name", sorted(PUSHDOWN_MACHINES))
 def test_classes_match_union_find_oracle_on_fixtures(name):
-    # free 2 meets the 20 000-vertex cap at 9; a larger cap only cuts it elsewhere
-    for cap in range(10) if name == "free2-word-problem" else range(13):
+    for cap in range(13):
         assert_matches_oracles(build(PUSHDOWN_MACHINES[name], BuildHorizon(max_tree_edges=cap, max_vertices=20_000)))
 
 
