@@ -115,7 +115,7 @@ def _parse_samples(text: str) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
 def cmd_group_qi(args, oracle):
     target = _oracle(args.target)
     samples = _read(args.samples, _parse_samples)
-    violations = _as_usage(ValueError, qi_check, oracle, target, samples, args.k, args.window)
+    violations = _as_usage((ValueError, WindowCapExceeded), qi_check, oracle, target, samples, args.k, args.window)
     lines = [f"checked {len(samples)} samples with k={args.k}: {len(violations)} violations"]
     lines += [f"  [{v.kind}] {v.detail}" for v in violations]
     payload = {

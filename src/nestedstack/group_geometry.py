@@ -11,7 +11,7 @@ Cayley graphs are treated as undirected for metric purposes.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graphs import CapExceeded, bfs_distances, bfs_tree
 from .groups import (  # re-exported: callers name the oracles through this module too
@@ -33,30 +33,34 @@ class _CayleyWindowFields(NamedTuple):
 
 
 class CayleyWindow(_CayleyWindowFields):
-    # no __slots__: each window keeps its own neighbour cache in the instance dict
+    """A ball of the Cayley graph.  Its vertices are numbered by their
+    position in `dist`, which is breadth-first order, so the center is 0;
+    the searches run on these ids and report group elements."""
 
-    @cached_property
-    def _neighbor_cache(self) -> Dict[object, List[object]]:
-        return {}
-
-    @property
-    def vertices(self) -> List[object]:
-        return list(self.dist)
+    # no __slots__: each window keeps its cached views in the instance dict
 
     @property
     def boundary(self) -> Set[object]:
         return {v for v, d in self.dist.items() if d == self.radius}
 
-    def neighbors(self, v) -> List[object]:
-        # memoized: separator searches scan the window many times
-        cached = self._neighbor_cache.get(v)
-        if cached is None:
-            seen: List[object] = []
+    @cached_property
+    def ids(self) -> Dict[object, int]:
+        return {v: i for i, v in enumerate(self.dist)}
+
+    @cached_property
+    def adjacency(self) -> List[List[int]]:
+        """The window neighbours of each id, in generator order, without
+        repeats or self-loops."""
+        ids = self.ids
+        adjacency = []
+        for i, v in enumerate(self.dist):
+            neighbors: List[int] = []
             for w in self.oracle._neighbors(v):
-                if w in self.dist and w not in seen and w != v:
-                    seen.append(w)
-            self._neighbor_cache[v] = cached = seen
-        return cached
+                j = ids.get(w)
+                if j is not None and j != i and j not in neighbors:
+                    neighbors.append(j)
+            adjacency.append(neighbors)
+        return adjacency
 
 
 def ball(oracle: GroupOracle, center: Word, radius: int, max_vertices: int = 2_000_000) -> CayleyWindow:
@@ -84,91 +88,80 @@ class SeparatorReport(NamedTuple):
     ball_radius: int
 
 
-_SOURCE = ("source",)
-_SINK = ("sink",)
+_END = -1  # the source before a path's first vertex, the sink after its last
 
 
-def _vertex_max_flow(neighbors, interior: Set[object], source_side: Set[object], sink_side: Set[object]):
+def _vertex_max_flow(adjacency: Sequence[List[int]], interior: Collection[int], sources: Sequence[int],
+                     sink_side: Collection[int]):
     """Maximum set of vertex-disjoint paths from the source block to the
-    sink block through unit-capacity interior vertices.
+    sink block through unit-capacity interior vertices.  Vertices are ids
+    into `adjacency`; `sources` are the interior vertices next to the
+    source block, in the order the searches start from them.
 
-    Runs augmenting-path max flow on the split graph (each vertex an
-    in/out pair joined by a unit arc) without materializing it: residual
-    arcs are derived from the current flow, kept as successor/predecessor
-    maps.  Returns (flow_value, cut_set, paths); the cut comes from
-    residual reachability, the paths from following the final flow."""
-    flow_next: Dict[object, object] = {}  # v -> next interior vertex or _SINK
-    flow_prev: Dict[object, object] = {}  # v -> previous interior vertex or _SOURCE
-    used: Set[object] = set()
-
-    # the source block is small; the sink test is evaluated lazily per vertex
-    source_adjacent = sorted(
-        {w for v in source_side for w in neighbors(v) if w in interior},
-        key=repr,
-    )
-    sink_side = set(sink_side)
-
-    def sink_adjacent(v):
-        return any(w in sink_side for w in neighbors(v))
+    Runs augmenting-path max flow on the split graph (vertex v an in-state
+    2v and an out-state 2v + 1 joined by a unit arc) without materializing
+    it: residual arcs are derived from the current flow, kept as
+    successor/predecessor maps.  Returns (flow_value, cut_set, paths); the
+    cut comes from residual reachability, in id order, and the paths from
+    following the final flow."""
+    flow_next: Dict[int, int] = {}  # v -> next interior vertex or _END
+    flow_prev: Dict[int, int] = {}  # v -> previous interior vertex or _END
+    used: Set[int] = set()
 
     def residual_arcs(state):
-        """Arcs out of an implicit residual state ("in", v) / ("out", v);
-        an out-state next to the sink block has the arc to _SINK alone."""
-        kind, v = state
-        if kind == "in":
-            arcs = [] if v in used else [("out", v)]
-            u = flow_prev.get(v)
-            if u is not None and u is not _SOURCE:
-                arcs.append(("out", u))  # cancel the flow edge u -> v
+        """Arcs out of an implicit residual state; an out-state next to
+        the sink block has the arc to the sink (_END) alone."""
+        v = state >> 1
+        if not state & 1:
+            arcs = [] if v in used else [state + 1]
+            u = flow_prev.get(v, _END)
+            if u != _END:
+                arcs.append(2 * u + 1)  # cancel the flow edge u -> v
             return arcs
-        if sink_adjacent(v):
-            return [_SINK]
-        arcs = [("in", v)] if v in used else []  # cancel the unit through v
-        arcs += [("in", w) for w in neighbors(v) if w in interior]
+        if any(w in sink_side for w in adjacency[v]):
+            return [_END]
+        arcs = [state - 1] if v in used else []  # cancel the unit through v
+        arcs += [2 * w for w in adjacency[v] if w in interior]
         return arcs
 
-    sources = [("in", v) for v in source_adjacent]
     flow_value = 0
     while True:
-        prev = bfs_tree(residual_arcs, sources, stop=_SINK)
-        if _SINK not in prev:
+        prev = bfs_tree(residual_arcs, [2 * v for v in sources], stop=_END)
+        if _END not in prev:
             break  # `prev` is now the residual reachability from the source
         # collect the augmenting path, then apply it to the flow maps
-        states = [_SINK]
+        states = [_END]
         while prev[states[-1]] is not None:
             states.append(prev[states[-1]])
         states.reverse()
-        flow_prev[states[0][1]] = _SOURCE
+        flow_prev[states[0] >> 1] = _END
         for a, b in zip(states, states[1:]):
-            if b is _SINK:
-                flow_next[a[1]] = _SINK
-            elif a[1] == b[1]:
-                if a[0] == "in":
-                    used.add(a[1])
+            v, w = a >> 1, b >> 1
+            if b == _END:
+                flow_next[v] = _END
+            elif v == w:
+                if a < b:
+                    used.add(v)
                 else:
-                    used.discard(a[1])
-            elif a[0] == "out" and b[0] == "in":
-                flow_next[a[1]] = b[1]
-                flow_prev[b[1]] = a[1]
-            else:  # ("in", w) -> ("out", v): cancel the flow edge v -> w
-                v, w = b[1], a[1]
-                if flow_next.get(v) == w:
-                    del flow_next[v]
-                if flow_prev.get(w) == v:
-                    del flow_prev[w]
+                    used.discard(v)
+            elif a & 1 and not b & 1:
+                flow_next[v] = w
+                flow_prev[w] = v
+            else:  # in-state of v -> out-state of w: cancel the flow edge w -> v
+                if flow_next.get(w) == v:
+                    del flow_next[w]
+                if flow_prev.get(v) == w:
+                    del flow_prev[v]
         flow_value += 1
 
-    reachable = prev
-    cut = tuple(
-        v for v in interior if ("in", v) in reachable and ("out", v) not in reachable
-    )
+    cut = tuple(sorted(s >> 1 for s in prev if not s & 1 and s + 1 not in prev))
 
     paths = []
     for v in flow_prev:
-        if flow_prev[v] is _SOURCE:
+        if flow_prev[v] == _END:
             path = []
             node = v
-            while node is not _SINK:
+            while node != _END:
                 path.append(node)
                 node = flow_next[node]
             paths.append(tuple(path))
@@ -189,39 +182,40 @@ def min_separator(
     if window_radius < 0:
         raise ValueError("window must be non-negative")
     window = ball(oracle, (), window_radius, max_vertices)
+    ids, adjacency = window.ids, window.adjacency
     ball1 = ball(oracle, center1, radius, max_vertices)
     ball2 = ball(oracle, center2, radius, max_vertices)
     for which, b in (("first", ball1), ("second", ball2)):
-        outside = [v for v in b.dist if v not in window.dist]
-        if outside:
+        if any(v not in ids for v in b.dist):
             raise ValueError(f"window too small to contain the {which} ball")
-    set1, set2 = set(ball1.dist), set(ball2.dist)
+    set1, set2 = {ids[v] for v in ball1.dist}, {ids[v] for v in ball2.dist}
     if set1 & set2:
         raise ValueError("balls overlap")
     for v in set1:
-        if any(w in set2 for w in window.neighbors(v)):
+        if any(w in set2 for w in adjacency[v]):
             raise ValueError("balls must be at distance at least 2 apart")
 
-    interior = {v for v in window.dist if v not in set1 and v not in set2}
-    flow_value, cut, paths = _vertex_max_flow(window.neighbors, interior, set1, set2)
+    names = list(window.dist)
+    interior = set(range(len(names))) - set1 - set2
+    sources = sorted({w for v in set1 for w in adjacency[v] if w in interior}, key=lambda w: repr(names[w]))
+    flow_value, cut, paths = _vertex_max_flow(adjacency, interior, sources, set2)
 
     if flow_value != len(paths):
         raise RuntimeError("flow decomposition lost a path")
     # removing the cut must disconnect the balls inside the window
-    reach = bfs_distances(window.neighbors, set1, blocked=set(cut))
+    reach = bfs_distances(adjacency.__getitem__, set1, blocked=set(cut))
     if not set2.isdisjoint(reach):
         raise RuntimeError("cut fails to separate the balls")
 
     boundary = window.boundary
     limited = any(
-        v in boundary or any(w in boundary for w in window.neighbors(v)) for v in cut
+        names[v] in boundary or any(names[w] in boundary for w in adjacency[v]) for v in cut
     )
-    order = {v: i for i, v in enumerate(window.vertices)}
     return SeparatorReport(
         cut_size=flow_value,
-        cut_set=tuple(sorted(cut, key=lambda v: order[v])),
+        cut_set=tuple(names[v] for v in cut),
         window_limited=limited,
-        disjoint_paths=paths,
+        disjoint_paths=tuple(tuple(names[v] for v in path) for path in paths),
         window_radius=window_radius,
         ball_radius=radius,
     )
@@ -257,7 +251,7 @@ def narrowness_probe(
     oracle: GroupOracle,
     radii: Iterable[int],
     centers: Iterable[Word],
-    window_radius=None,
+    window_radius: Optional[int] = None,
 ) -> ProbeTable:
     """Separator sizes of the ball around the identity against balls at the
     sample centers, across radii.  This is falsifiable evidence about
@@ -267,7 +261,7 @@ def narrowness_probe(
     radii = sorted(set(radii))
     if radii and radii[0] < 0:
         raise ValueError("radius must be non-negative")
-    if isinstance(window_radius, int) and window_radius < 0:
+    if window_radius is not None and window_radius < 0:
         raise ValueError("window must be non-negative")
     centers = [tuple(c) for c in centers]
     for c in centers:  # a letter that is not a generator raises ValueError
@@ -276,8 +270,6 @@ def narrowness_probe(
         for center in centers:
             if window_radius is None:
                 w = oracle.distance((), center) + r + 2
-            elif callable(window_radius):
-                w = window_radius(r, center)
             else:
                 w = window_radius
             try:
@@ -307,14 +299,15 @@ def ends_probe(oracle: GroupOracle, radius: int, window_radius: int, max_vertice
     if window_radius <= radius + 2:
         raise ValueError("window must exceed the removed ball by more than 2")
     window = ball(oracle, (), window_radius, max_vertices)
-    removed = {v for v, d in window.dist.items() if d <= radius}
+    depths = list(window.dist.values())
+    removed = {v for v, d in enumerate(depths) if d <= radius}
     seen = set(removed)
     components = []
-    for start in window.vertices:
+    for start in range(len(depths)):
         if start not in seen:
-            components.append(bfs_distances(window.neighbors, [start], blocked=removed))
+            components.append(bfs_distances(window.adjacency.__getitem__, [start], blocked=removed))
             seen.update(components[-1])
-    boundary = window.boundary
+    boundary = {v for v, d in enumerate(depths) if d == window_radius}
     finite = sum(boundary.isdisjoint(component) for component in components)
     return EndsReport(
         radius=radius,
@@ -375,10 +368,11 @@ def qi_check(
                 )
     if density_window is not None:
         window = ball(target, (), density_window)
+        ids = window.ids
         images = {target.canonical(y) for _, y in samples}
-        covered = bfs_distances(window.neighbors, [g for g in images if g in window.dist], max_depth=int(k))
-        for v in window.vertices:
-            if v not in covered:
+        covered = bfs_distances(window.adjacency.__getitem__, [ids[g] for g in images if g in ids], max_depth=int(k))
+        for v, i in ids.items():
+            if i not in covered:
                 violations.append(
                     QIViolation(
                         "density",

@@ -333,6 +333,21 @@ def test_group_qi(capsys, tmp_path):
     assert code == 1
 
 
+def test_group_qi_window_past_the_vertex_cap_exits_usage(capsys, tmp_path, monkeypatch):
+    # as `group ball`, `separator` and `ends` do; a small cap keeps the ball small
+    from functools import partial
+
+    from nestedstack import group_geometry
+
+    monkeypatch.setattr(group_geometry, "ball", partial(group_geometry.ball, max_vertices=100))
+    samples = tmp_path / "samples.txt"
+    samples.write_text("a -> aa\n")
+    code, out, err = run(capsys, "group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2",
+                         "--samples", str(samples), "--window", "50")
+    assert code == 2 and out == ""
+    assert err == "error: ball exceeds 100 vertices\n"
+
+
 def test_round_trip_via_format(capsys):
     for name in ("anbncndn.nsa", "anbn.nsa", "dyck2.nsa", "zcount.nsa", "xyblock.nsa"):
         machine = load_machine(name)

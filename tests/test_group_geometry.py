@@ -221,9 +221,7 @@ def test_window_growth_monotonicity(free2, grid2):
 
 
 def test_probe_trends(free2, grid2):
-    tree_probe = narrowness_probe(
-        free2, (1, 2), [("a",) * 6], window_radius=lambda r, c: len(c) + r + 1
-    )
+    tree_probe = narrowness_probe(free2, (1, 2), [("a",) * 6], window_radius=8)
     assert tree_probe.trend() == "constant"
     assert tree_probe.max_cut(1) == tree_probe.max_cut(2) == 1
     grid_probe = narrowness_probe(grid2, (1, 2, 3), ["a" * 8])
@@ -300,7 +298,8 @@ def test_qi_doubling_within_k2(line):
 def test_vertex_flow_matches_brute_force_min_cut():
     # differential check of the implicit split-graph flow on random small
     # graphs: flow value == smallest vertex set whose removal disconnects
-    # the blocks, paths are vertex-disjoint, the cut really cuts
+    # the blocks, paths are vertex-disjoint paths between the blocks, the
+    # cut really cuts
     import itertools
     import random
 
@@ -316,33 +315,23 @@ def test_vertex_flow_matches_brute_force_min_cut():
                 if u < w and rng.random() < 0.35:
                     adjacency[u].add(w)
                     adjacency[w].add(u)
-        source_side = {("s", 0)}
-        sink_side = {("t", 0)}
-        src_attached = set(rng.sample(vertices, k=rng.randrange(1, 3)))
+        src_attached = rng.sample(vertices, k=rng.randrange(1, 3))
         snk_attached = set(rng.sample(vertices, k=rng.randrange(1, 3)))
-        if src_attached & snk_attached:
+        if snk_attached.intersection(src_attached):
             continue  # blocks must not share a neighbor edge-for-edge here
 
-        def neighbors(v, _adj=adjacency, _src=src_attached, _snk=snk_attached):
-            if v in source_side:
-                return list(_src)
-            if v in sink_side:
-                return list(_snk)
-            out = list(_adj[v])
-            if v in _src:
-                out.append(("s", 0))
-            if v in _snk:
-                out.append(("t", 0))
-            return out
+        # ids 0..n-1 are interior; n is the source block, n + 1 the sink block
+        ids = [sorted(adjacency[v]) + [n] * (v in src_attached) + [n + 1] * (v in snk_attached) for v in vertices]
+        ids += [list(src_attached), sorted(snk_attached)]
+        flow, cut, paths = _vertex_max_flow(ids, set(vertices), src_attached, {n + 1})
 
-        interior = set(vertices)
-        flow, cut, paths = _vertex_max_flow(neighbors, interior, source_side, sink_side)
-
-        assert len(paths) == flow
+        assert len(paths) == flow == len(cut)
         seen = set()
         for path in paths:
             assert not (set(path) & seen)
             seen.update(path)
+            assert path[0] in src_attached and path[-1] in snk_attached
+            assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
 
         def disconnects(removed):
             frontier = set(src_attached) - removed

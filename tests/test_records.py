@@ -11,6 +11,7 @@ from nestedstack import config_graph as cgm
 from nestedstack import group_geometry as geo
 from nestedstack import machine as mm
 from nestedstack import pda_quotient as pq
+from nestedstack.groups import parse_finite_table
 from nestedstack.hom import Homomorphism
 from nestedstack.memory_tree import StackOp, apply, empty_tree, push
 
@@ -200,12 +201,19 @@ def test_machine_moves_is_cached_per_machine():
     assert mm.Machine(*SAMPLES[mm.Machine][0]).moves is not m.moves
 
 
-def test_cayley_windows_do_not_share_a_neighbour_cache():
+def test_cayley_windows_do_not_share_an_adjacency():
     w1 = geo.ball(ORACLE, (), 1)
     w2 = geo.ball(ORACLE, ("a",), 1)
-    assert w1.neighbors(w1.center) == [(1,), (-1,)]
-    assert w2.neighbors(w2.center) == [(2,), (0,)]
-    assert (1,) in w2.dist and w2.neighbors((1,)) == [(2,), (0,)]
-    assert w1.neighbors((1,)) == [(0,)]
-    assert w1._neighbor_cache is not w2._neighbor_cache
-    assert geo.CayleyWindow(ORACLE, (0,), 0, {(0,): 0}).neighbors((0,)) == []
+    assert w1.ids == {(0,): 0, (1,): 1, (-1,): 2}
+    assert w2.ids == {(1,): 0, (2,): 1, (0,): 2}
+    assert w1.adjacency[0] == [1, 2]  # (1,), (-1,): generator order
+    assert w2.adjacency[0] == [1, 2]  # (2,), (0,)
+    assert w1.adjacency[w1.ids[(1,)]] == [0]  # (2,) lies outside w1
+    assert w1.adjacency is w1.adjacency and w1.ids is w1.ids
+    assert w1.adjacency is not w2.adjacency
+    assert geo.CayleyWindow(ORACLE, (0,), 0, {(0,): 0}).adjacency == [[]]
+    # b is the identity (a self-loop) and c repeats a: both are dropped
+    z2 = parse_finite_table("elements: e a\nidentity: e\ngenerators: a=a b=e c=a\n"
+                            "mul: e e e\nmul: e a a\nmul: a e a\nmul: a a e\n")
+    assert z2._neighbors(z2.identity) == ["a", "e", "a"]
+    assert geo.ball(z2, (), 1).adjacency == [[1], [0]]
