@@ -1,6 +1,6 @@
 """Every graph search of the package: breadth-first distances and parent
-trees over a neighbours callable (`adj.__getitem__` for a dict, or an
-implicit graph such as a Cayley window), strongly connected components,
+trees over a neighbours callable (`adj.__getitem__` for a list or dict,
+or an implicit graph such as a Cayley graph), strongly connected components,
 max-weight paths over edge-weighted digraphs, and fundamental cycles of
 undirected graphs."""
 

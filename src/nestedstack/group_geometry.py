@@ -144,7 +144,7 @@ def _vertex_max_flow(adjacency: Sequence[List[int]], interior: Collection[int], 
                     used.add(v)
                 else:
                     used.discard(v)
-            elif a & 1 and not b & 1:
+            elif a & 1 and not b & 1:  # out-state of v -> in-state of w: flow edge v -> w
                 flow_next[v] = w
                 flow_prev[w] = v
             else:  # in-state of v -> out-state of w: cancel the flow edge w -> v

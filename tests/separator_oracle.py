@@ -1,6 +1,7 @@
-"""The element-keyed separator, ends and density searches, kept unchanged
-as differential oracles for `nestedstack.group_geometry`, which runs them
-on integer vertex ids:
+"""The element-keyed separator, ends and density searches, kept as
+differential oracles for `nestedstack.group_geometry`, which runs them on
+integer vertex ids.  The algorithms are the ones the package ran before;
+only the neighbour memo moved from a window method into a closure:
 
 - `window_neighbors`: a window's neighbour lists by group element,
   memoised per window, in generator order without repeats or loops;
