@@ -90,8 +90,8 @@ _OPTIONS = {
         # None: `_caps` fills in the `ResourceCaps` default
         _arg("--max-steps", type=int),
         _arg("--max-tree-edges", type=int),
-        _arg("--max-frontier", type=int),
     ),
+    "frontier": (_arg("--max-frontier", type=int),),  # read by the breadth-first searches alone
     "horizon": (
         _arg("--horizon", type=int, default=16, help="max memory-tree edges"),
         _arg("--max-vertices", type=int, default=200_000),
@@ -110,11 +110,11 @@ _RADIUS = _arg("--radius", type=int, required=True)
 
 COMMANDS = (
     Command(("validate",), "cli_machine.cmd_validate", "machine", help="parse and validate a machine file"),
-    Command(("accept",), "cli_machine.cmd_accept", "machine", ("word", "caps"),
+    Command(("accept",), "cli_machine.cmd_accept", "machine", ("word", "caps", "frontier"),
             help="membership verdict for a word"),
-    Command(("run",), "cli_machine.cmd_run", "machine", ("word", "caps"),
+    Command(("run",), "cli_machine.cmd_run", "machine", ("word", "caps", "frontier"),
             help="membership verdict plus an accepting computation"),
-    Command(("enumerate",), "cli_machine.cmd_enumerate", "machine", ("caps",),
+    Command(("enumerate",), "cli_machine.cmd_enumerate", "machine", ("caps", "frontier"),
             (_arg("--max-len", type=int, required=True),), help="all accepted words up to a length"),
     Command(("check-det",), "cli_machine.cmd_check_det", "machine", help="decide determinism"),
     Command(("check-erasing",), "cli_machine.cmd_check_erasing", "machine", help="decide limited erasing"),
@@ -125,7 +125,7 @@ COMMANDS = (
             help="machine for the preimage under a homomorphism"),
     Command(("cg", "build"), "cli_graph.cmd_cg_build", "--machine", ("horizon",)),
     Command(("cg", "dot"), "cli_graph.cmd_cg_dot", "--machine", ("horizon", "out")),
-    Command(("cg", "lift"), "cli_graph.cmd_cg_lift", "--machine", ("horizon", "word", "caps")),
+    Command(("cg", "lift"), "cli_graph.cmd_cg_lift", "--machine", ("word", "caps")),
     Command(("cg", "project"), "cli_graph.cmd_cg_project", "--machine", ("horizon",), (_SOURCES["--group"],)),
     Command(("pda", "quotient"), "cli_graph.cmd_pda_quotient", "--machine", ("horizon",),
             (_arg("--dot", default=None, help="write the quotient graph as DOT"),)),

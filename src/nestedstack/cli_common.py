@@ -83,10 +83,10 @@ def _read_word(args) -> Tuple[str, ...]:
 
 
 def _caps(args):
-    """The `--max-*` caps; an option left out (None) keeps its default."""
+    """The `--max-*` caps; one left out (None) or not taken keeps its default."""
     from .machine import ResourceCaps
 
-    given = {name: getattr(args, name) for name in ResourceCaps._fields}
+    given = {name: getattr(args, name, None) for name in ResourceCaps._fields}
     return ResourceCaps(**{name: v for name, v in given.items() if v is not None})
 
 

@@ -100,36 +100,35 @@ def _vertex_max_flow(adjacency: Sequence[List[int]], interior: Collection[int], 
 
     Runs augmenting-path max flow on the split graph (vertex v an in-state
     2v and an out-state 2v + 1 joined by a unit arc) without materializing
-    it: residual arcs are derived from the current flow, kept as
-    successor/predecessor maps.  Returns (flow_value, cut_set, paths); the
+    it: residual arcs are derived from the current flow, kept as one map
+    from each vertex that carries flow to the vertex it receives it from.
+    Every path starts at its own source vertex, so an augmentation past
+    `len(sources)` is a defect.  Returns (flow_value, cut_set, paths); the
     cut comes from residual reachability, in id order, and the paths from
     following the final flow."""
-    flow_next: Dict[int, int] = {}  # v -> next interior vertex or _END
     flow_prev: Dict[int, int] = {}  # v -> previous interior vertex or _END
-    used: Set[int] = set()
 
     def residual_arcs(state):
         """Arcs out of an implicit residual state; an out-state next to
         the sink block has the arc to the sink (_END) alone."""
         v = state >> 1
         if not state & 1:
-            arcs = [] if v in used else [state + 1]
+            arcs = [] if v in flow_prev else [state + 1]
             u = flow_prev.get(v, _END)
             if u != _END:
                 arcs.append(2 * u + 1)  # cancel the flow edge u -> v
             return arcs
         if any(w in sink_side for w in adjacency[v]):
             return [_END]
-        arcs = [state - 1] if v in used else []  # cancel the unit through v
+        arcs = [state - 1] if v in flow_prev else []  # cancel the unit through v
         arcs += [2 * w for w in adjacency[v] if w in interior]
         return arcs
 
-    flow_value = 0
-    while True:
+    for flow_value in range(len(sources) + 1):
         prev = bfs_tree(residual_arcs, [2 * v for v in sources], stop=_END)
         if _END not in prev:
             break  # `prev` is now the residual reachability from the source
-        # collect the augmenting path, then apply it to the flow maps
+        # apply the augmenting path; unit arcs write nothing, as carrying flow is being a key
         states = [_END]
         while prev[states[-1]] is not None:
             states.append(prev[states[-1]])
@@ -137,33 +136,21 @@ def _vertex_max_flow(adjacency: Sequence[List[int]], interior: Collection[int], 
         flow_prev[states[0] >> 1] = _END
         for a, b in zip(states, states[1:]):
             v, w = a >> 1, b >> 1
-            if b == _END:
-                flow_next[v] = _END
-            elif v == w:
-                if a < b:
-                    used.add(v)
-                else:
-                    used.discard(v)
-            elif a & 1 and not b & 1:  # out-state of v -> in-state of w: flow edge v -> w
-                flow_next[v] = w
+            if a & 1 and not b & 1 and v != w:  # out-state of v -> in-state of w: flow edge v -> w
                 flow_prev[w] = v
-            else:  # in-state of v -> out-state of w: cancel the flow edge w -> v
-                if flow_next.get(w) == v:
-                    del flow_next[w]
-                if flow_prev.get(v) == w:
-                    del flow_prev[v]
-        flow_value += 1
+            elif not a & 1 and flow_prev.get(v) == w:  # in-state of v -> out-state of w: cancel w -> v
+                del flow_prev[v]
+    else:
+        raise RuntimeError("augmenting paths outnumber the source vertices")
 
     cut = tuple(sorted(s >> 1 for s in prev if not s & 1 and s + 1 not in prev))
-
+    successor = {u: v for v, u in flow_prev.items()}
     paths = []
-    for v in flow_prev:
-        if flow_prev[v] == _END:
-            path = []
-            node = v
-            while node != _END:
-                path.append(node)
-                node = flow_next[node]
+    for v, u in flow_prev.items():
+        if u == _END:
+            path = [v]
+            while path[-1] in successor:
+                path.append(successor[path[-1]])
             paths.append(tuple(path))
     return flow_value, cut, tuple(paths)
 
@@ -274,7 +261,7 @@ def narrowness_probe(
                 w = window_radius
             try:
                 cells.append(ProbeCell(r, center, report=min_separator(oracle, (), center, r, w)))
-            except (ValueError, WindowCapExceeded, RuntimeError) as exc:
+            except (ValueError, WindowCapExceeded) as exc:
                 cells.append(ProbeCell(r, center, error=str(exc)))
     return ProbeTable(cells)
 

@@ -318,6 +318,29 @@ def test_group_probe_center_outside_the_generators_exits_usage(capsys, window):
     assert err == "error: '9' is not a generator of abelian(1)\n"
 
 
+def test_group_probe_reports_a_capped_window_in_its_cell_and_a_flow_defect_as_internal(capsys, monkeypatch):
+    # a window past the vertex cap is one cell's error; a defect in the
+    # flow is not input-dependent and must not read as a probe result
+    from nestedstack import group_geometry
+
+    real_ball = group_geometry.ball
+    monkeypatch.setattr(group_geometry, "ball",
+                        lambda oracle, center, radius, max_vertices=0: real_ball(oracle, center, radius, 100))
+    argv = ["group", "probe", "--group", "abelian 2", "--radius", "1", "--centers", "aaaaaa"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert "  r=1 center=aaaaaa: error: ball exceeds 100 vertices" in out.splitlines()
+
+    def defect(*args):
+        raise RuntimeError("cut fails\nto separate the balls")
+
+    monkeypatch.setattr(group_geometry, "min_separator", defect)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert_one_line_error(err)
+    assert err == "internal error: RuntimeError: cut fails to separate the balls\n"
+
+
 def test_group_qi(capsys, tmp_path):
     samples = tmp_path / "samples.txt"
     samples.write_text("a -> aa\naa -> aaaa\n -> \n")

@@ -93,6 +93,8 @@ _BASE = [
                                "--centers", "", "aaaa"]),
     ("group_probe_abelian2", ["group", "probe", "--group", "abelian 2", "--radius", "1", "2",
                               "--centers", "aaaaaa"]),
+    ("group_probe_abelian2_overlap", ["group", "probe", "--group", "abelian 2", "--radius", "1", "2",
+                                      "--centers", "aa"]),
     ("group_ends_abelian1", ["group", "ends", "--group", "abelian 1", "--radius", "3", "--window", "10"]),
     ("group_qi_double", ["group", "qi", "--group", "abelian 1", "--target", "abelian 1", "--k", "2",
                          "--samples", QI]),

@@ -358,6 +358,67 @@ def test_vertex_flow_matches_brute_force_min_cut():
         assert brute == flow, f"trial {trial}: flow {flow} vs brute {brute}"
 
 
+# The reroute graph: interior ids 0-6, source block 7, sink block 8.  The
+# first augmenting path is 0 -> 1 -> 2.  The second enters at 3, reaches 2
+# through 6, cancels the flow through vertex 1 and sends 0's unit by 4 and 5.
+REROUTE = [[1, 4, 7], [0, 2], [1, 6, 8], [6, 7], [0, 5], [4, 8], [3, 2], [0, 3], [2, 5]]
+
+
+def oracle_flow(adjacency, interior, source_block, sink_block):
+    """`_vertex_max_flow`'s answer and the element-keyed oracle's on one
+    graph; the sources are sorted by repr, as `min_separator` sorts them,
+    and the oracle's cut is sorted."""
+    import separator_oracle
+
+    from nestedstack.group_geometry import _vertex_max_flow
+
+    sources = sorted({w for w in adjacency[source_block] if w in interior}, key=repr)
+    got = _vertex_max_flow(adjacency, interior, sources, {sink_block})
+    flow, cut, paths = separator_oracle.vertex_max_flow(adjacency.__getitem__, interior, {source_block}, {sink_block})
+    return got, (flow, tuple(sorted(cut)), paths)
+
+
+def test_vertex_flow_reroutes_through_a_used_vertex():
+    from nestedstack.group_geometry import _vertex_max_flow
+
+    assert _vertex_max_flow(REROUTE, set(range(7)), [0, 3], {8}) == (2, (0, 3), ((0, 4, 5), (3, 6, 2)))
+    got, expected = oracle_flow(REROUTE, set(range(7)), 7, 8)
+    assert got == expected
+
+
+def test_vertex_flow_matches_the_element_keyed_oracle():
+    import random
+
+    rng = random.Random(17)
+    for _ in range(1000):
+        n = rng.randrange(8, 31)
+        adjacency = [[] for _ in range(n + 2)]
+        for u in range(n):
+            for w in range(u + 1, n):
+                if rng.random() < 0.15:
+                    adjacency[u].append(w)
+                    adjacency[w].append(u)
+        k = rng.randrange(2, 5)
+        attached = rng.sample(range(n), k + rng.randrange(2, 5))
+        for block, vertices in ((n, attached[:k]), (n + 1, attached[k:])):
+            for v in vertices:
+                adjacency[v].append(block)
+                adjacency[block].append(v)
+        got, expected = oracle_flow(adjacency, set(range(n)), n, n + 1)
+        assert got == expected
+
+
+def test_vertex_flow_stops_a_never_ending_augmentation(monkeypatch):
+    from nestedstack import group_geometry
+    from nestedstack.group_geometry import _END, _vertex_max_flow
+
+    # every search finds in(0) -> out(0) -> sink, as a residual update that
+    # never takes effect would
+    monkeypatch.setattr(group_geometry, "bfs_tree", lambda *args, **kwargs: {0: None, 1: 0, _END: 1})
+    with pytest.raises(RuntimeError, match="augmenting paths outnumber the source vertices"):
+        _vertex_max_flow([[1, 2], [0], [0]], {0}, [0], {2})
+
+
 def test_qi_density_window(line):
     def point(n):
         return ("a",) * n if n >= 0 else ("A",) * (-n)

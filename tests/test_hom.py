@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nestedstack.hom import Homomorphism, parse_homomorphism, preimage
+from nestedstack.hom import Homomorphism, parse_homomorphism, preimage, publish_reserved_names
 from nestedstack.machine import (
     ACCEPTED,
     REJECTED,
@@ -14,6 +14,8 @@ from nestedstack.machine import (
     check_deterministic,
     check_limited_erasing,
     enumerate_accepted,
+    format_machine,
+    parse_machine,
 )
 
 import factor_preimage as old
@@ -318,3 +320,16 @@ def test_preimage_of_a_preimage_keeps_names_apart(dyck2):
     composed = Homomorphism({a: hom("block4.hom")(w) for a, w in g.images.items()})
     assert enumerate_accepted(outer, 4) == enumerate_accepted(preimage(dyck2, composed), 4)
     assert check_deterministic(outer) is None
+
+
+def test_published_preimage_renames_a_clashing_layer_state_and_round_trips():
+    # the layer copy `__1@1` of state 1 would publish as `1@1`, a state of
+    # the machine, so it takes a numbered suffix; `stay` renders as `stay`
+    machine = parse_machine("states: 1 2 1@1\nstart: 1\nfinal: 1\ninput: a b\nmemory: x\n"
+                            "edge: 1 2 stay a\nedge: 2 1@1 push x b\nedge: 1@1 1 pop x eps\n")
+    layered = preimage(machine, Homomorphism({"p": ("a", "b"), "q": ("b",)}))
+    published = publish_reserved_names(layered)
+    assert published.states == ("1", "2", "1@1", "1@11", "2@1", "1@1@1")
+    assert enumerate_accepted(published, 4) == enumerate_accepted(layered, 4) == {("p",) * n for n in range(5)}
+    for m in (machine, published):
+        assert parse_machine(format_machine(m)) == m
