@@ -17,8 +17,8 @@ _EXPORTS = {
     "machine": (
         "ACCEPTED", "CAP_EXCEEDED", "REJECTED", "AcceptResult", "Computation", "Edge",
         "Machine", "MachineError", "MachineParseError", "ResourceCaps", "accepts",
-        "check_deterministic", "check_limited_erasing", "deterministic_run",
-        "enumerate_accepted", "format_machine", "parse_machine", "run_trace", "successors",
+        "check_deterministic", "check_limited_erasing", "enumerate_accepted",
+        "format_machine", "parse_machine", "run_trace", "successors",
     ),
     "hom": ("Homomorphism", "parse_homomorphism", "preimage", "publish_reserved_names"),
     "config_graph": (

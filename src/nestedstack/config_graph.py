@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .graphs import bfs_distances, weighted_path_bound
-from .machine import Machine, ResourceCaps, deterministic_run, successors
-from .memory_tree import _INDEX, EPSILON, MemoryTree, empty_tree
+from .machine import Machine, ResourceCaps, _both_apply, successors
+from .memory_tree import _EMPTY, _HASH, _INDEX, _LABEL, _PARENT, _PREV, _SAVED, _tree, EPSILON, MemoryTree, empty_tree
 
 
 class Configuration(NamedTuple):
@@ -272,17 +272,38 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
     labels: List[str] = []
     if n == 0:
         return LiftResult("ok", configs, labels, pos)
-    for e, tree, after in deterministic_run(machine, word, max_tree_edges):
+    table, state, spine = machine.step_table, machine.initial, None
+    latest = node = _EMPTY._latest
+    while True:
+        row = table[state]
+        cell = row.get(word[pos], row[EPSILON])[node[_LABEL]][spine is None]
+        if not cell:
+            return LiftResult("stuck", configs, labels, pos, stuck_at=pos)
+        if len(cell) > 1:
+            raise _both_apply(state, configs[-1].tree, cell)
         if len(labels) >= max_steps:  # the step exists, but is one too many
             return LiftResult("cap_exceeded", configs, labels, pos)
-        pos = after
-        configs.append(new(Configuration, (e.dst, tree)))  # NamedTuple.__new__ is a Python call
+        e = cell[0]
+        kind, symbol = e.op  # as in `machine._accepts_deterministic`
+        if kind == "push":
+            v = node[_INDEX]
+            latest = node = (latest[_INDEX] + 1, symbol, v, node, latest, spine, hash((latest[_HASH], v, symbol)))
+            spine = None
+        elif kind == "down":
+            node, spine = node[_PARENT], (node, spine)
+        elif kind == "up":
+            node, spine = spine
+        elif kind == "pop":
+            latest, node, spine = node[_PREV], node[_PARENT], node[_SAVED]
+        state = e.dst
+        configs.append(new(Configuration, (state, _tree(latest, node, spine, node[_INDEX]))))  # NamedTuple.__new__ is a Python call
         labels.append(e.letter)
-        if tree._latest[_INDEX] > max_tree_edges:
+        if e.letter != EPSILON:
+            pos += 1
+        if latest[_INDEX] > max_tree_edges:
             return LiftResult("cap_exceeded", configs, labels, pos)
         if pos == n:
             return LiftResult("ok", configs, labels, pos)
-    return LiftResult("stuck", configs, labels, pos, stuck_at=pos)
 
 
 def dot_quote(text: str) -> str:

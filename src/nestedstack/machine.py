@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .memory_tree import (
-    _INDEX, _LABEL,  # node fields the search loops read directly: a property read is a Python call
+    # node fields and the tree constructor the search loops use directly: a property read is a Python call
+    _EMPTY, _HASH, _INDEX, _LABEL, _PARENT, _PREV, _SAVED, _tree,
     EPSILON,
-    UNDEFINED,
     MemoryTree,
     StackOp,
     apply,
@@ -104,12 +103,14 @@ class Machine(_MachineFields):
         return table
 
     @cached_property
-    def moves_by_symbol(self) -> Dict[str, Dict[Optional[str], Dict[Optional[str], Tuple[Edge, ...]]]]:
-        """`moves` split by the tree's current symbol s (EPSILON at the root):
-        row[a][s] keeps the edges of row[a] whose operation can be defined
-        there; row[a][None], the push and stay edges, serves other symbols."""
+    def step_table(self) -> Dict[str, Dict[Optional[str], Dict[Optional[str], Tuple[Tuple[Edge, ...], ...]]]]:
+        """`moves` split by what decides an operation's domain (see
+        `defined_on`): row[a][s] is a pair, the edges of row[a] defined when
+        the current symbol is s (EPSILON at the root) and the distinguished
+        vertex is not the latest one, then those defined when it is.
+        row[a][None], the push and stay edges, serves symbols no edge names."""
         symbols = (*self.memory_alphabet, EPSILON, None)
-        return {q: {a: {s: tuple(e for e in edges if e.op.kind in ("push", "stay") or e.op.symbol == s)
+        return {q: {a: {s: tuple(tuple(e for e in edges if defined_on(e.op, s, leaf)) for leaf in (False, True))
                         for s in symbols} for a, edges in row.items()} for q, row in self.moves.items()}
 
     @cached_property
@@ -298,14 +299,9 @@ def successors(
     `state` that reads `letter` or is silent (every outedge when `letter` is
     None) and whose operation is defined on `tree`, in machine edge order.
     A letter that no outedge reads selects the silent edges alone."""
-    row = machine.moves_by_symbol[state]
+    row = machine.step_table[state]
     cells = row.get(letter, row[EPSILON])
-    out = []
-    for e in cells.get(tree._node[_LABEL], cells[None]):
-        t2 = apply(e.op, tree)
-        if t2 is not UNDEFINED:
-            out.append((e, t2))
-    return out
+    return [(e, apply(e.op, tree)) for e in cells.get(tree._node[_LABEL], cells[None])[tree._spine is None]]
 
 
 def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> AcceptResult:
@@ -364,32 +360,54 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
 
 
 def _accepts_deterministic(machine: Machine, word: Word, caps: ResourceCaps) -> AcceptResult:
-    """`accepts` along `deterministic_run`.  Only a silent step can revisit a
-    configuration, so configurations are kept from the first silent step on."""
+    """`accepts` along the unique run, one `step_table` cell per step.  The
+    tree lives in the loop as its latest node, distinguished node and spine;
+    only a silent step can revisit a configuration, so configurations, and
+    their trees, are kept from the first silent step of each stretch on."""
     if caps.max_frontier < 1:
         return AcceptResult(CAP_EXCEEDED, caps_hit=("max_frontier",))
-    n, finals, empty, max_tree_edges = len(word), machine.finals, empty_tree(), caps.max_tree_edges
+    n, finals, max_tree_edges = len(word), machine.finals, caps.max_tree_edges
     if n == 0 and machine.initial in finals:
-        return AcceptResult(ACCEPTED, witness=Computation((), word, empty))
-    state, tree, path, seen = machine.initial, empty, [], None
-    for e, t2, pos in islice(deterministic_run(machine, word, max_tree_edges), max(caps.max_steps, 0)):
-        if t2._latest[_INDEX] > max_tree_edges:
+        return AcceptResult(ACCEPTED, witness=Computation((), word, _EMPTY))
+    letters, table, state = (*word, EPSILON), machine.step_table, machine.initial
+    latest = node = _EMPTY._latest
+    spine, pos, path, seen = None, 0, [], None
+    for _ in range(caps.max_steps):
+        row = table[state]
+        cell = row.get(letters[pos], row[EPSILON])[node[_LABEL]][spine is None]
+        if not cell:
+            return AcceptResult(REJECTED)
+        if len(cell) > 1:
+            raise _both_apply(state, _tree(latest, node, spine, node[_INDEX]), cell)
+        e = cell[0]
+        if e.letter == EPSILON and seen is None:
+            seen = {(state, _tree(latest, node, spine, node[_INDEX]))}
+        kind, symbol = e.op  # the branches of `apply`, whose domain tests the table has made
+        if kind == "push":
+            v = node[_INDEX]
+            latest = node = (latest[_INDEX] + 1, symbol, v, node, latest, spine, hash((latest[_HASH], v, symbol)))
+            spine = None
+        elif kind == "down":
+            node, spine = node[_PARENT], (node, spine)
+        elif kind == "up":
+            node, spine = spine
+        elif kind == "pop":
+            latest, node, spine = node[_PREV], node[_PARENT], node[_SAVED]
+        if latest[_INDEX] > max_tree_edges:
             return AcceptResult(CAP_EXCEEDED, caps_hit=("max_tree_edges",))
+        path.append(e)
+        state = e.dst
         if e.letter != EPSILON:
+            pos += 1
             seen = None
         else:
-            seen = seen or {(state, tree)}
             size = len(seen)
-            seen.add((e.dst, t2))  # one hash of the new configuration, new or not
+            seen.add((state, _tree(latest, node, spine, node[_INDEX])))  # one hash, new or not
             if len(seen) == size:
                 return AcceptResult(REJECTED)
-        path.append(e)
-        state, tree = e.dst, t2
-        if pos == n and state in finals and tree == empty:
-            return AcceptResult(ACCEPTED, witness=Computation(tuple(path), word, tree))
-    if len(path) >= caps.max_steps:  # the search would examine one more configuration
-        return AcceptResult(CAP_EXCEEDED, caps_hit=("max_steps",))
-    return AcceptResult(REJECTED)
+        if pos == n and state in finals and latest[_INDEX] == 0:
+            return AcceptResult(ACCEPTED, witness=Computation(tuple(path), word, _EMPTY))
+    return AcceptResult(CAP_EXCEEDED, caps_hit=("max_steps",))  # the search would examine one more configuration
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -514,61 +532,56 @@ class Trace(NamedTuple):
     stopped: str  # "halted", "max_steps" or "max_tree_edges"
 
 
-def deterministic_run(
-    machine: Machine, word: Iterable[str], max_tree_edges: int
-) -> Iterator[Tuple[Edge, MemoryTree, int]]:
-    """The unique maximal computation of a deterministic machine reading a
-    prefix of `word`, one step at a time: each step is the edge taken, the
-    tree after it and the number of letters consumed so far.  Silent edges
-    fire anywhere; a consuming edge fires on the next unread letter.  The
-    run ends when no edge applies, or right after the first step whose tree
-    has more than `max_tree_edges` edges.
-
-    Raises NondeterminismDetected if two continuations ever apply, naming
-    the first two in machine edge order."""
-    letters = (*word, EPSILON)  # the letter read at each position; EPSILON once all are read
-    moves, state, tree, pos = machine.moves_by_symbol, machine.initial, empty_tree(), 0
-    while True:
-        row = moves[state]
-        taken = None
-        for e in row.get(letters[pos], row[EPSILON])[tree._node[_LABEL]]:
-            t2 = apply(e.op, tree)
-            if t2 is not UNDEFINED:
-                if taken is not None:
-                    raise NondeterminismDetected(f"state {state}, tree {tree}: edges {taken} and {e} both apply")
-                taken, nxt = e, t2
-        if taken is None:
-            return
-        state, tree = taken.dst, nxt
-        if taken.letter != EPSILON:
-            pos += 1
-        yield taken, tree, pos
-        if tree._latest[_INDEX] > max_tree_edges:
-            return
+def _both_apply(state: str, tree: MemoryTree, cell: Tuple[Edge, ...]) -> NondeterminismDetected:
+    return NondeterminismDetected(f"state {state}, tree {tree}: edges {cell[0]} and {cell[1]} both apply")
 
 
 def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> Trace:
-    """The deterministic run on `word` (see `deterministic_run`) as a
-    step-by-step listing of at most `caps.max_steps` steps; `stopped` names
-    the cap that ended it, if any."""
+    """The unique maximal computation of a deterministic machine reading a
+    prefix of `word`, as a listing of at most `caps.max_steps` steps: each
+    step is the edge taken, the tree after it and the number of letters
+    consumed so far.  Silent edges fire anywhere; a consuming edge fires on
+    the next unread letter.  The run ends when no edge applies, at the step
+    cap, or right after the first step whose tree has more than
+    `caps.max_tree_edges` edges; `stopped` names the cap that ended it.
+
+    Raises NondeterminismDetected if two continuations ever apply, naming
+    the first two in machine edge order."""
     word = tuple(word)
-    n, finals, empty, new = len(word), machine.finals, empty_tree(), tuple.__new__
+    n, finals, new = len(word), machine.finals, tuple.__new__
     max_steps, max_tree_edges = max(caps.max_steps, 0), caps.max_tree_edges  # a negative cap acts as 0
-    state, tree, pos = machine.initial, empty, 0
+    letters, table, state, pos = (*word, EPSILON), machine.step_table, machine.initial, 0
+    latest = node = _EMPTY._latest
+    spine, tree = None, _EMPTY
     steps: List[TraceStep] = []
     accepted_at = [0] if not word and state in finals else []
-    for step in islice(deterministic_run(machine, word, max_tree_edges), max_steps):
-        e, tree, pos = step
-        state = e.dst
-        steps.append(new(TraceStep, step))  # NamedTuple.__new__ is a Python call
-        if pos == n and state in finals and tree == empty:
+    while True:
+        row = table[state]
+        cell = row.get(letters[pos], row[EPSILON])[node[_LABEL]][spine is None]
+        if not cell or len(steps) == max_steps:
+            break
+        if len(cell) > 1:
+            raise _both_apply(state, tree, cell)
+        e = cell[0]
+        kind, symbol = e.op  # as in `_accepts_deterministic`
+        if kind == "push":
+            v = node[_INDEX]
+            latest = node = (latest[_INDEX] + 1, symbol, v, node, latest, spine, hash((latest[_HASH], v, symbol)))
+            spine = None
+        elif kind == "down":
+            node, spine = node[_PARENT], (node, spine)
+        elif kind == "up":
+            node, spine = spine
+        elif kind == "pop":
+            latest, node, spine = node[_PREV], node[_PARENT], node[_SAVED]
+        tree, state = _tree(latest, node, spine, node[_INDEX]), e.dst
+        if e.letter != EPSILON:
+            pos += 1
+        steps.append(new(TraceStep, (e, tree, pos)))  # NamedTuple.__new__ is a Python call
+        if pos == n and state in finals and latest[_INDEX] == 0:
             accepted_at.append(len(steps))
-    if tree._latest[_INDEX] > max_tree_edges:
-        stopped = "max_tree_edges"
-    elif len(steps) == max_steps and successors(  # a run halting right at the cap is "halted"
-            machine, state, tree, word[pos] if pos < n else EPSILON):
-        stopped = "max_steps"
-    else:
-        stopped = "halted"
+        if latest[_INDEX] > max_tree_edges:
+            break
+    stopped = "max_tree_edges" if latest[_INDEX] > max_tree_edges else "max_steps" if cell else "halted"
     return Trace(word=word, steps=tuple(steps), consumed=pos, final_state=state, final_tree=tree,
                  accepted_at=tuple(accepted_at), stopped=stopped)

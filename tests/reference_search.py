@@ -1,13 +1,14 @@
-"""The three breadth-first searches of the package, written again over the
-tuple tree, as an independent model for differential tests.
+"""The three breadth-first searches of the package and its two
+deterministic runs, written again over the tuple tree, as an independent
+model for differential tests.
 
 Nothing here touches `nestedstack.memory_tree`'s persistent trees, the
 successor table `Machine.moves` or the search drivers: successors come
 from a scan of the machine's edge list, trees from `tuple_tree.apply`,
 and configurations are deduplicated by the tuple tree's own equality.
 What is shared with the package is the contract each search documents:
-breadth-first order, outedges in machine edge order, and where each
-resource cap is checked.  Trees come back as `(parents, labels,
+breadth-first order, outedges in machine edge order, where each resource
+cap is checked, and the message a run raises when two edges apply.  Trees come back as `(parents, labels,
 distinguished)` triples, so results compare with the package's directly.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from nestedstack.machine import NondeterminismDetected
 from nestedstack.memory_tree import EPSILON, UNDEFINED
 
 import tuple_tree
@@ -139,3 +141,57 @@ def build(machine, horizon):
                 edge_set.add(edge)
                 edges.append(edge)
     return [(state, *plain(tree)) for state, tree in vertices], edges, truncated
+
+
+def only_step(machine, state, tree, letter):
+    """The one `(edge, tree')` a deterministic run takes, or None when no
+    edge applies; raises as the package does when two apply."""
+    steps = successors(machine, state, tree, letter)
+    if len(steps) > 1:
+        raise NondeterminismDetected(f"state {state}, tree {tree}: edges {steps[0][0]} and {steps[1][0]} both apply")
+    return steps[0] if steps else None
+
+
+def run_trace(machine, word, caps):
+    """`machine.run_trace`'s `Trace` as a tuple, trees as triples."""
+    word = tuple(word)
+    n, max_steps = len(word), max(caps.max_steps, 0)
+    state, tree, pos = machine.initial, EMPTY, 0
+    steps, accepted_at = [], [0] if n == 0 and state in machine.finals else []
+    step = None
+    while len(steps) < max_steps and not (steps and edge_count(tree) > caps.max_tree_edges):
+        step = only_step(machine, state, tree, word[pos] if pos < n else EPSILON)
+        if step is None:
+            break
+        e, tree = step
+        state, pos = e.dst, pos + (e.letter != EPSILON)
+        steps.append((e, plain(tree), pos))
+        if pos == n and state in machine.finals and tree == EMPTY:
+            accepted_at.append(len(steps))
+    if edge_count(tree) > caps.max_tree_edges:
+        stopped = "max_tree_edges"
+    elif len(steps) == max_steps and successors(machine, state, tree, word[pos] if pos < n else EPSILON):
+        stopped = "max_steps"
+    else:
+        stopped = "halted"
+    return word, tuple(steps), pos, state, plain(tree), tuple(accepted_at), stopped
+
+
+def lift_path(machine, word, caps):
+    """`config_graph.lift_path`'s `LiftResult` as a tuple, trees as triples."""
+    word = tuple(word)
+    state, tree, pos = machine.initial, EMPTY, 0
+    configs, labels = [(state, plain(tree))], []
+    while pos < len(word):
+        step = only_step(machine, state, tree, word[pos])
+        if step is None:
+            return "stuck", configs, labels, pos, pos
+        if len(labels) >= caps.max_steps:
+            return "cap_exceeded", configs, labels, pos, None
+        e, tree = step
+        state, pos = e.dst, pos + (e.letter != EPSILON)
+        configs.append((state, plain(tree)))
+        labels.append(e.letter)
+        if edge_count(tree) > caps.max_tree_edges:
+            return "cap_exceeded", configs, labels, pos, None
+    return "ok", configs, labels, pos, None

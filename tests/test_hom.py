@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nestedstack.hom import Homomorphism, parse_homomorphism, preimage, publish_reserved_names
 from nestedstack.machine import (
     ACCEPTED,
+    MachineParseError,
     REJECTED,
     accepts,
     check_deterministic,
@@ -56,6 +57,25 @@ def test_parse_homomorphism():
     assert f.images["p"] == ("a",)
     assert set(f.source_alphabet) == {"p", "q", "b", "c", "d"}
     assert f(("p", "q", "b")) == ("a", "a", "b")
+
+
+# One homomorphism file per raise in `parse_homomorphism`.
+HOM_PARSE_ERRORS = [
+    ("map: a -> b\nmop: c -> d\n", 2, "expected 'map: ...', got 'mop: c -> d'"),
+    ("map: a b\n", 1, "expected 'map: LETTER -> WORD'"),
+    ("map: a b -> c\n", 1, "exactly one source letter per map line"),
+    ("map: a -> b\n# again\nmap: a -> c\n", 3, "duplicate image for 'a'"),
+    ("map: a ->\n", 1, "letter 'a' maps to the empty word"),
+    ("map: a -> b __c\n", 1, "letter '__c' uses the reserved '__' namespace"),
+    ("# no maps\n\n", 0, "no map lines found"),
+]
+
+
+@pytest.mark.parametrize("text,line_no,message", HOM_PARSE_ERRORS, ids=[m for _, _, m in HOM_PARSE_ERRORS])
+def test_each_homomorphism_parse_error_names_its_line(text, line_no, message):
+    with pytest.raises(MachineParseError) as err:
+        parse_homomorphism(text)
+    assert (err.value.line_no, err.value.message, str(err.value)) == (line_no, message, f"line {line_no}: {message}")
 
 
 def test_empty_image_rejected():

@@ -89,6 +89,40 @@ def test_parse_rejects_eps_as_token():
         small_machine([], inputs="a eps")
 
 
+BASE = "states: 1 2\nstart: 1\nfinal: 1\ninput: a b\nmemory: x y\n"  # lines 1-5
+
+# One machine file per raise in `parse_machine`: the text, the line the
+# error names and its message.
+PARSE_ERRORS = [
+    (BASE.replace("a b", "a eps"), 4, "'eps' cannot be declared as a input letter"),
+    (BASE.replace("x y", "x __z"), 5, "memory symbol '__z' uses the reserved '__' namespace"),
+    ("states: 1\nstart 1\n", 2, "expected 'key: ...', got 'start 1'"),
+    ("states: 1\nstates: 2\n", 2, "duplicate section 'states'"),
+    ("states: 1\nstart: 1\nweird: x\n", 3, "unknown section 'weird'"),
+    ("states: 1\n", 0, "missing required section 'start'"),
+    (BASE.replace("1 2", "1 2 1"), 1, "duplicate state '1'"),
+    (BASE.replace("start: 1", "start: 1 2"), 2, "start takes exactly one state"),
+    (BASE.replace("start: 1", "start: 3"), 2, "unknown start state '3'"),
+    (BASE.replace("final: 1", "final: 3"), 3, "unknown final state '3'"),
+    (BASE + "edge: 1 2 push\n", 6, "edge needs: SRC DST OP [SYMBOL] INPUT"),
+    (BASE + "edge: 3 2 push x a\n", 6, "unknown state '3'"),
+    (BASE + "edge: 1 2 stay x a\n", 6, "stay takes no memory symbol"),
+    (BASE + "edge: 1 2 stay a\nedge: 1 3 push x a\n", 7, "unknown state '3'"),
+    (BASE + "edge: 1 2 jump x a\n", 6, "unknown operation 'jump'"),
+    (BASE + "edge: 1 2 push x a b\n", 6, "push needs: SRC DST push SYMBOL INPUT"),
+    (BASE + "edge: 1 2 pop eps a\n", 6, "pop requires a real memory symbol"),
+    (BASE + "edge: 1 2 up eps a\nedge: 1 2 down z a\n", 7, "undeclared memory symbol 'z'"),
+    (BASE + "edge: 1 2 push x c\n", 6, "undeclared input letter 'c'"),
+]
+
+
+@pytest.mark.parametrize("text,line_no,message", PARSE_ERRORS, ids=[m for _, _, m in PARSE_ERRORS])
+def test_each_parse_error_names_its_line(text, line_no, message):
+    with pytest.raises(MachineParseError) as err:
+        parse_machine(text)
+    assert (err.value.line_no, err.value.message, str(err.value)) == (line_no, message, f"line {line_no}: {message}")
+
+
 def test_parse_errors_on_unknown_section():
     with pytest.raises(MachineParseError):
         parse_machine("states: 1\nstart: 1\nweird: x")

@@ -201,6 +201,15 @@ def test_machine_moves_is_cached_per_machine():
     assert mm.Machine(*SAMPLES[mm.Machine][0]).moves is not m.moves
 
 
+def test_machine_step_table_is_cached_per_machine():
+    m = mm.Machine(*SAMPLES[mm.Machine][0])
+    assert m.step_table is m.step_table
+    # a push is defined whatever the current symbol and leaf status
+    assert {cell for cells in m.step_table["1"]["a"].values() for cell in cells} == {(EDGE,)}
+    assert m.step_table["2"][""] == {"x": ((), ()), "": ((), ()), None: ((), ())}
+    assert mm.Machine(*SAMPLES[mm.Machine][0]).step_table is not m.step_table
+
+
 def test_cayley_windows_do_not_share_an_adjacency():
     w1 = geo.ball(ORACLE, (), 1)
     w2 = geo.ball(ORACLE, ("a",), 1)

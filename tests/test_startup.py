@@ -56,7 +56,7 @@ PUBLIC = {
     "memory_tree": "EPSILON STAY UNDEFINED MemoryTree StackOp apply apply_word down empty_tree pop push up validate",
     "machine": "ACCEPTED CAP_EXCEEDED REJECTED AcceptResult Computation Edge Machine MachineError "
                "MachineParseError ResourceCaps accepts check_deterministic check_limited_erasing "
-               "deterministic_run enumerate_accepted format_machine parse_machine run_trace successors",
+               "enumerate_accepted format_machine parse_machine run_trace successors",
     "hom": "Homomorphism parse_homomorphism preimage publish_reserved_names",
     "config_graph": "BuildHorizon ConfigGraph Configuration UNBOUNDED_WITHIN_HORIZON build check_degrees "
                     "export_dot lift_path max_eps_run project vertex_name",

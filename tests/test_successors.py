@@ -30,7 +30,7 @@ from nestedstack.machine import (
     run_trace,
     successors,
 )
-from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply
+from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply, down, empty_tree, push
 
 FOREIGN = "zz"  # a letter no machine reads
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.nsa"))
@@ -205,6 +205,126 @@ def test_deterministic_accepts_matches_reference_on_random_machines(rows, finals
     assert_accepts_matches_reference(machine, words_up_to("ab", 3), caps)
 
 
+# --- the deterministic runs and the step table against the model ------------------
+
+
+def run_outcome(run, *args):
+    """What a run returns, or the message of the NondeterminismDetected it raises."""
+    try:
+        return run(*args)
+    except NondeterminismDetected as exc:
+        return "raises", str(exc)
+
+
+def plain(tree):
+    """`reference_search.plain`, once the tree is checked to equal, and hash
+    as, the same tree built from scratch."""
+    triple = reference_search.plain(tree)
+    rebuilt = MemoryTree(*triple)
+    assert tree == rebuilt and hash(tree) == hash(rebuilt)
+    return triple
+
+
+def traced(machine, word, caps):
+    t = run_trace(machine, word, caps)
+    steps = tuple((e, plain(tree), consumed) for e, tree, consumed in t.steps)
+    return t.word, steps, t.consumed, t.final_state, plain(t.final_tree), t.accepted_at, t.stopped
+
+
+def lifted(machine, word, caps):
+    lift = lift_path(machine, word, caps)
+    return lift.status, [(c.state, plain(c.tree)) for c in lift.configs], lift.labels, lift.consumed, lift.stuck_at
+
+
+def assert_runs_match_reference(machine, word, caps):
+    assert run_outcome(traced, machine, word, caps) == run_outcome(reference_search.run_trace, machine, word, caps)
+    assert run_outcome(lifted, machine, word, caps) == run_outcome(reference_search.lift_path, machine, word, caps)
+
+
+# Step caps -1 to 3 stop runs early, larger ones let most runs halt; tree caps -1 to 3.
+RUN_CAPS = st.builds(ResourceCaps, st.integers(-1, 3) | st.integers(4, 40), st.integers(-1, 3))
+FIXTURE_MEMBERS = {name: sorted(enumerate_accepted(load_machine(name), 6))
+                   for name in FIXTURE_NAMES if load_machine(name).deterministic}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(FIXTURE_NAMES), data=st.data(), caps=RUN_CAPS)
+def test_runs_match_reference_on_fixtures(name, data, caps):
+    machine = load_machine(name)
+    words = st.lists(st.sampled_from([*sorted(machine.input_alphabet), FOREIGN]), max_size=8)
+    word = data.draw(words | st.sampled_from(FIXTURE_MEMBERS[name]) if FIXTURE_MEMBERS.get(name) else words)
+    assert_runs_match_reference(machine, word, caps)
+
+
+@pytest.mark.parametrize("deterministic", [True, False], ids=["deterministic", "nondeterministic"])
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(EDGE, max_size=8), finals=st.sets(st.sampled_from(STATES)),
+       word=st.lists(st.sampled_from(["a", "b", FOREIGN]), max_size=5), caps=RUN_CAPS)
+def test_runs_match_reference_on_random_machines(deterministic, rows, finals, word, caps):
+    machine = random_machine(rows, finals)
+    assume(machine.deterministic is deterministic)
+    assert_runs_match_reference(machine, word, caps)
+
+
+# Pops a vertex pushed beside an older child of the root, so that the spine
+# `pop` restores is not empty, and then goes up that spine.
+SPINE_AFTER_POP = parse_machine(
+    "states: 1 2 3 4 5 6 7\nstart: 1\nfinal: 7\ninput: a\nmemory: x y\n"
+    "edge: 1 2 push x a\nedge: 2 3 down x eps\nedge: 3 4 push y eps\nedge: 4 5 pop y eps\n"
+    "edge: 5 6 up eps eps\nedge: 6 7 pop x eps\n"
+)
+
+
+@pytest.mark.parametrize("max_steps", [-1, 0, 3, 5, 6, 40])
+def test_runs_follow_the_spine_a_pop_restores(max_steps):
+    caps = ResourceCaps(max_steps=max_steps, max_tree_edges=2)
+    for word in ["", "a", "aa"]:
+        assert_runs_match_reference(SPINE_AFTER_POP, word, caps)
+        assert_accepts_matches_reference(SPINE_AFTER_POP, [word], caps)
+    assert run_trace(SPINE_AFTER_POP, "a").stopped == "halted"
+    assert accepts(SPINE_AFTER_POP, "a").witness.path == SPINE_AFTER_POP.edges
+
+
+def concrete_trees(alphabet):
+    """Random trees over `alphabet`, plus for each symbol of it and the root
+    one tree whose distinguished vertex is the latest and one where it is not."""
+    trees = random_trees(40, seed=3, alphabet=alphabet)
+    for s in alphabet:
+        leaf = apply(push(s), empty_tree())
+        trees += [leaf, apply(down(alphabet[0]), apply(push(alphabet[0]), leaf))]
+    return trees + [apply(down(alphabet[0]), apply(push(alphabet[0]), empty_tree()))]
+
+
+def assert_step_table_matches_apply(machine):
+    """Each cell holds the edges of its row whose `apply` is defined on a
+    concrete tree with the cell's current symbol and leaf status; a symbol
+    no edge names (here one outside the memory alphabet) reads the None
+    column.  Every cell is checked on at least one tree."""
+    alphabet = (*sorted(machine.memory_alphabet), "zz")
+    covered = set()
+    for tree in concrete_trees(alphabet):
+        symbol = tree.current_symbol if tree.current_symbol in {*machine.memory_alphabet, EPSILON} else None
+        leaf = tree.distinguished == len(tree) - 1
+        covered.add((symbol, leaf))
+        for state, row in machine.step_table.items():
+            for letter, cells in row.items():
+                want = tuple(e for e, _ in brute_force(machine, state, tree, letter))
+                assert cells[symbol][leaf] == want, (state, letter, symbol, leaf)
+    assert covered == set(product([*machine.memory_alphabet, EPSILON, None], [False, True]))
+
+
+@pytest.mark.parametrize("name,machine,_", MEMBERSHIP + [("popcycle.nsa", load_machine("popcycle.nsa"), 0)],
+                         ids=[name for name, _, _ in MEMBERSHIP] + ["popcycle.nsa"])
+def test_step_table_matches_apply_on_fixtures(name, machine, _):
+    assert_step_table_matches_apply(machine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(EDGE, max_size=12))
+def test_step_table_matches_apply_on_random_machines(rows):
+    assert_step_table_matches_apply(random_machine(rows))
+
+
 # --- verdicts under different caps -------------------------------------------------
 
 CAPS = st.builds(ResourceCaps, st.integers(0, 60), st.integers(0, 4), st.integers(0, 6))
@@ -358,8 +478,10 @@ def test_enumeration_extends_to_the_next_length(machine, n, caps):
 @pytest.fixture
 def counted(monkeypatch):
     """Counts of `apply` calls made through `machine.apply`, where the
-    benchmark tracer patches it, and of memory-tree hashes."""
-    counts = {"apply": 0, "defined": 0, "hash": 0}
+    benchmark tracer patches it, of edges taken (every search reads an
+    edge's `dst` once per successor it goes on to) and of memory-tree
+    hashes."""
+    counts = {"apply": 0, "defined": 0, "taken": 0, "hash": 0}
     original_apply, original_hash = machine_module.apply, MemoryTree.__dict__["__hash__"]
 
     def counting_apply(op, tree):
@@ -368,35 +490,41 @@ def counted(monkeypatch):
         counts["defined"] += result is not UNDEFINED
         return result
 
+    def counting_dst(edge):
+        counts["taken"] += 1
+        return tuple.__getitem__(edge, 1)
+
     def counting_hash(tree):
         counts["hash"] += 1
         return original_hash(tree)
 
     monkeypatch.setattr(machine_module, "apply", counting_apply)
+    monkeypatch.setattr(Edge, "dst", property(counting_dst))
     monkeypatch.setattr(MemoryTree, "__hash__", counting_hash)
     return counts
 
 
-# `apply` calls per query, all of them and the defined ones.  The defined
-# ones are the successors the searches explore: a count that moves means a
-# search explores something else, or bypasses the `machine.apply` the
-# tracer patches.  The totals add the edges the move table offers whose
-# operation turns out undefined.
+# Per query: `apply` calls, the defined ones among them, and edges taken.
+# `step_table` offers only edges whose operation is defined, so every
+# `apply` call is defined; a count that moves means a search explores
+# something else, or bypasses the `machine.apply` the tracer patches.  The
+# deterministic run applies its steps inline and calls `apply` not at all:
+# its edges taken are its steps.
 SEARCH_WORK = [
-    ("accepts-member", lambda quad: accepts(quad, "aabbccddabcd"), 16, 16),
-    ("accepts-nonmember", lambda quad: accepts(quad, "aabbccdda"), 12, 12),
-    ("enumerate", lambda quad: enumerate_accepted(quad, 12), 153, 133),
-    ("build", lambda quad: build(quad, BuildHorizon(max_tree_edges=6)), 58, 43),
-    ("build-truncated", lambda quad: build(quad, BuildHorizon(max_tree_edges=6, max_vertices=20)), 28, 25),
+    ("accepts-member", lambda quad: accepts(quad, "aabbccddabcd"), 0, 0, 16),
+    ("accepts-nonmember", lambda quad: accepts(quad, "aabbccdda"), 0, 0, 12),
+    ("enumerate", lambda quad: enumerate_accepted(quad, 12), 133, 133, 133),
+    ("build", lambda quad: build(quad, BuildHorizon(max_tree_edges=6)), 43, 43, 42),
+    ("build-truncated", lambda quad: build(quad, BuildHorizon(max_tree_edges=6, max_vertices=20)), 25, 25, 24),
 ]
 
 
-@pytest.mark.parametrize("query,applies,defined", [(q, n, d) for q, _, n, d in SEARCH_WORK],
-                         ids=[q for q, _, _, _ in SEARCH_WORK])
-def test_search_work_is_pinned(quad, counted, query, applies, defined):
-    run = {q: fn for q, fn, _, _ in SEARCH_WORK}[query]
+@pytest.mark.parametrize("query,applies,defined,taken", [row[:1] + row[2:] for row in SEARCH_WORK],
+                         ids=[row[0] for row in SEARCH_WORK])
+def test_search_work_is_pinned(quad, counted, query, applies, defined, taken):
+    run = {row[0]: row[1] for row in SEARCH_WORK}[query]
     run(quad)
-    assert (counted["apply"], counted["defined"]) == (applies, defined)
+    assert (counted["apply"], counted["defined"], counted["taken"]) == (applies, defined, taken)
 
 
 EVEN_PALINDROMES = parse_machine(
@@ -412,7 +540,7 @@ def test_searches_hash_each_candidate_once(quad, counted):
     assert not EVEN_PALINDROMES.deterministic
     assert accepts(EVEN_PALINDROMES, "abbab").verdict == REJECTED
     assert counted["hash"] == 1 + counted["defined"] > 1
-    counted.update(apply=0, defined=0, hash=0)
+    counted.update(apply=0, defined=0, taken=0, hash=0)
     enumerate_accepted(quad, 12)
     assert counted["hash"] == 1 + counted["defined"]
 
@@ -422,6 +550,6 @@ def test_the_deterministic_run_hashes_silent_stretches_only(quad, counted):
     # configuration a stretch starts from, and one per silent step
     assert accepts(quad, "aabbccdda").verdict == REJECTED
     assert counted["hash"] == 5
-    counted.update(apply=0, defined=0, hash=0)
+    counted.update(apply=0, defined=0, taken=0, hash=0)
     assert accepts(quad, "aabbccddabcd").verdict == ACCEPTED
     assert counted["hash"] == 7
