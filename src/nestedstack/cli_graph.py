@@ -8,7 +8,6 @@ from .cli_common import (
     EXIT_CAPPED, EXIT_NEGATIVE, EXIT_OK, _as_usage, _caps, _format_word, _horizon, _oracle, _read_word, _UsageError,
     _write,
 )
-from .machine import check_deterministic
 
 
 def cmd_cg_build(args, machine):
@@ -38,7 +37,7 @@ def cmd_cg_dot(args, machine):
 
 
 def cmd_cg_lift(args, machine):
-    if check_deterministic(machine) is not None:
+    if not machine.deterministic:
         raise _UsageError("error: lift requires a deterministic machine")
     word = _read_word(args)
     result = cgmod.lift_path(machine, word, _caps(args))

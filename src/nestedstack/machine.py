@@ -87,31 +87,25 @@ class Machine(_MachineFields):
         return tuple.__new__(cls, (states, initial, finals, input_alphabet, memory_alphabet, edges))
 
     @cached_property
-    def moves(self) -> Dict[str, Dict[Optional[str], Tuple[Edge, ...]]]:
-        """Outedges by state and then by input letter, in machine edge order:
-        row[a] holds the edges reading `a` and the silent ones, row[EPSILON]
-        the silent ones alone and row[None] all of them."""
+    def step_table(self) -> Dict[str, Dict[Optional[str], Dict[Optional[str], Tuple[Tuple[Edge, ...], ...]]]]:
+        """Outedges by state and input letter, in machine edge order: row[a]
+        holds the edges reading `a` and the silent ones, row[EPSILON] the
+        silent ones alone and row[None] all of them.  Each is split by what
+        decides an operation's domain (see `defined_on`): row[a][s] is a pair,
+        the edges defined when the current symbol is s (EPSILON at the root)
+        and the distinguished vertex is not the latest one, then when it is.
+        row[a][None], the push and stay edges, serves symbols no edge names."""
         outs: Dict[str, List[Edge]] = {q: [] for q in self.states}
         for e in self.edges:
             outs[e.src].append(e)
+        symbols = (*self.memory_alphabet, EPSILON, None)
         table = {}
         for q, edges in outs.items():
-            letters = {e.letter for e in edges} | {EPSILON}
-            row = {a: tuple(e for e in edges if e.letter in (a, EPSILON)) for a in letters}
-            row[None] = tuple(edges)
-            table[q] = row
+            row = {a: [e for e in edges if e.letter in (a, EPSILON)] for a in {e.letter for e in edges} | {EPSILON}}
+            row[None] = edges
+            table[q] = {a: {s: tuple(tuple(e for e in row[a] if defined_on(e.op, s, leaf)) for leaf in (False, True))
+                            for s in symbols} for a in row}
         return table
-
-    @cached_property
-    def step_table(self) -> Dict[str, Dict[Optional[str], Dict[Optional[str], Tuple[Tuple[Edge, ...], ...]]]]:
-        """`moves` split by what decides an operation's domain (see
-        `defined_on`): row[a][s] is a pair, the edges of row[a] defined when
-        the current symbol is s (EPSILON at the root) and the distinguished
-        vertex is not the latest one, then those defined when it is.
-        row[a][None], the push and stay edges, serves symbols no edge names."""
-        symbols = (*self.memory_alphabet, EPSILON, None)
-        return {q: {a: {s: tuple(tuple(e for e in edges if defined_on(e.op, s, leaf)) for leaf in (False, True))
-                        for s in symbols} for a, edges in row.items()} for q, row in self.moves.items()}
 
     @cached_property
     def deterministic(self) -> bool:
@@ -304,6 +298,48 @@ def successors(
     return [(e, apply(e.op, tree)) for e in cells.get(tree._node[_LABEL], cells[None])[tree._spine is None]]
 
 
+def _search(machine: Machine, letters: tuple, goal: Optional[int], caps: ResourceCaps):
+    """Breadth-first search over (state, tree, tag) triples, in machine edge
+    order, with deduplication.  With a `goal`, the tag is the position in
+    `letters` (the word, then EPSILON), the search stops at the first
+    configuration at the goal in a final state with empty memory, and
+    successors over the tree cap are pruned.  With none, the tag is the word
+    read, `letters[len(tag)]` says what to read next (None: any letter), and
+    the first pruned successor ends the search.  Returns the parent map
+    (configuration -> (predecessor, edge), None at the start), the goal
+    configuration or None, and the caps that fired."""
+    counting, empty, finals = goal is not None, empty_tree(), machine.finals
+    max_steps, max_tree_edges, max_frontier = caps
+    advance = {a: 1 if counting else (a,) for a in machine.input_alphabet}
+    advance[EPSILON] = 0 if counting else ()
+    start = (machine.initial, empty, 0 if counting else ())
+    parent: Dict[tuple, Optional[Tuple[tuple, Edge]]] = {start: None}
+    queue = deque([start])
+    pruned, stop, steps = False, None, 0
+    while queue:
+        if len(queue) > max_frontier:
+            stop = "max_frontier"
+            break
+        state, tree, tag = cfg = queue.popleft()
+        if tag == goal and state in finals and tree == empty:
+            return parent, cfg, ()
+        steps += 1
+        if steps > max_steps:
+            stop = "max_steps"
+            break
+        for e, t2 in successors(machine, state, tree, letters[tag if counting else len(tag)]):
+            if t2._latest[_INDEX] > max_tree_edges:
+                pruned = True
+                if counting:
+                    continue
+                queue.clear()  # an enumeration that missed a branch has no answer
+                break
+            nxt = (e.dst, t2, tag + advance[e.letter])
+            if parent.setdefault(nxt, link := (cfg, e)) is link:  # one hash of nxt, new or not
+                queue.append(nxt)
+    return parent, None, (("max_tree_edges",) if pruned else ()) + ((stop,) if stop else ())
+
+
 def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> AcceptResult:
     """Breadth-first search over (state, tree, position) with deduplication.
 
@@ -315,48 +351,15 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
     word = tuple(word)
     if machine.deterministic:
         return _accepts_deterministic(machine, word, caps)
-    n, empty = len(word), empty_tree()
-    max_steps, max_tree_edges, max_frontier = caps.max_steps, caps.max_tree_edges, caps.max_frontier
-    start = (machine.initial, empty, 0)
-    parent: Dict[tuple, Optional[Tuple[tuple, Edge]]] = {start: None}
-    queue = deque([start])
-    pruned = False  # max_tree_edges cut off a successor
-    stop = None  # the cap that ended the search, after any pruning
-    steps = 0
-
-    goal = None
-    while queue:
-        if len(queue) > max_frontier:
-            stop = "max_frontier"
-            break
-        state, tree, pos = cfg = queue.popleft()
-        if pos == n and state in machine.finals and tree == empty:
-            goal = cfg
-            break
-        steps += 1
-        if steps > max_steps:
-            stop = "max_steps"
-            break
-        for e, t2 in successors(machine, state, tree, word[pos] if pos < n else EPSILON):
-            if t2._latest[_INDEX] > max_tree_edges:
-                pruned = True
-                continue
-            nxt = (e.dst, t2, pos if e.letter == EPSILON else pos + 1)
-            if parent.setdefault(nxt, link := (cfg, e)) is link:  # one hash of nxt, new or not
-                queue.append(nxt)
-
+    parent, goal, caps_hit = _search(machine, (*word, EPSILON), len(word), caps)
     if goal is not None:
         cfg, path = goal, []
         while (link := parent[cfg]) is not None:
             cfg, e = link
             path.append(e)
         path.reverse()
-        witness = Computation(tuple(path), word, goal[1])
-        return AcceptResult(ACCEPTED, witness=witness)
-    caps_hit = (("max_tree_edges",) if pruned else ()) + ((stop,) if stop else ())
-    if caps_hit:
-        return AcceptResult(CAP_EXCEEDED, caps_hit=caps_hit)
-    return AcceptResult(REJECTED)
+        return AcceptResult(ACCEPTED, witness=Computation(tuple(path), word, goal[1]))
+    return AcceptResult(CAP_EXCEEDED if caps_hit else REJECTED, caps_hit=caps_hit)
 
 
 def _accepts_deterministic(machine: Machine, word: Word, caps: ResourceCaps) -> AcceptResult:
@@ -422,32 +425,11 @@ def enumerate_accepted(
     Searches (state, tree, consumed word) triples; skipping consuming edges
     at the length bound is sound, but any resource cap firing escalates,
     because a pruned search could miss members."""
-    empty, finals = empty_tree(), machine.finals
-    max_steps, max_tree_edges, max_frontier = caps.max_steps, caps.max_tree_edges, caps.max_frontier
-    start = (machine.initial, empty, ())
-    seen = {start}
-    queue = deque([start])
-    found: Set[Word] = set()
-    steps = 0
-    while queue:
-        if len(queue) > max_frontier:
-            raise EnumerationCapExceeded("max_frontier")
-        state, tree, word = queue.popleft()
-        if state in finals and tree == empty:
-            found.add(word)
-        steps += 1
-        if steps > max_steps:
-            raise EnumerationCapExceeded("max_steps")
-        letter = None if len(word) < max_len else EPSILON
-        for e, t2 in successors(machine, state, tree, letter):
-            if t2._latest[_INDEX] > max_tree_edges:
-                raise EnumerationCapExceeded("max_tree_edges")
-            nxt = (e.dst, t2, word if e.letter == EPSILON else word + (e.letter,))
-            size = len(seen)
-            seen.add(nxt)  # one hash of nxt, new or not
-            if len(seen) > size:
-                queue.append(nxt)
-    return found
+    parent, _, caps_hit = _search(machine, (None,) * max_len + (EPSILON,), None, caps)
+    if caps_hit:
+        raise EnumerationCapExceeded(caps_hit[0])
+    empty = empty_tree()
+    return {word for state, tree, word in parent if state in machine.finals and tree == empty}
 
 
 # --- decision procedures -------------------------------------------------
@@ -467,23 +449,26 @@ class DeterminismConflict(NamedTuple):
 def check_deterministic(machine: Machine) -> Optional[DeterminismConflict]:
     """None when deterministic, else the first conflicting pair of edges.
 
-    Edges compete when their input letters are equal or either is silent.
-    A conflict needs both operation domains satisfied at once; domains are
-    determined by the current symbol and leaf status alone, so we enumerate
-    those combinations over the machine's finite memory alphabet."""
-    symbols = sorted(machine.memory_alphabet) + [EPSILON]
+    Two outedges conflict exactly when they share a cell of
+    `step_table[q][a]` for an input letter `a` (EPSILON included): they
+    compete on that input, and both operations are defined on the trees
+    with that cell's current symbol and leaf status.  The first conflict is
+    taken by state, then by the two edges' positions in the machine, the
+    symbol (sorted, EPSILON last) and the leaf status (at a leaf first)."""
+    edges, symbols = machine.edges, sorted(machine.memory_alphabet) + [EPSILON]
     for state in machine.states:
-        outs = machine.moves[state][None]
-        for i, e1 in enumerate(outs):
-            for e2 in outs[i + 1 :]:
-                if e1.letter != e2.letter and EPSILON not in (e1.letter, e2.letter):
-                    continue
-                for sym in symbols:
-                    for at_leaf in (True, False):
-                        if defined_on(e1.op, sym, at_leaf) and defined_on(
-                            e2.op, sym, at_leaf
-                        ):
-                            return DeterminismConflict(state, e1, e2, sym, at_leaf)
+        conflicts = []
+        for a, cells in machine.step_table[state].items():
+            if a is None:  # row[None] mixes letters
+                continue
+            for rank, s in enumerate(symbols):
+                for at_leaf, cell in zip((False, True), cells[s]):
+                    if len(cell) > 1:  # in machine order, so its first two edges are its first pair
+                        i = edges.index(cell[0])
+                        j = edges.index(cell[1], i + 1)  # a repeated edge is told apart by its position
+                        conflicts.append(((i, j, rank, not at_leaf), DeterminismConflict(state, *cell[:2], s, at_leaf)))
+        if conflicts:
+            return min(conflicts)[1]
     return None
 
 

@@ -1,23 +1,25 @@
-"""The three breadth-first searches of the package and its two
-deterministic runs, written again over the tuple tree, as an independent
-model for differential tests.
+"""The three breadth-first searches of the package, its two deterministic
+runs and its determinism check, written again over the tuple tree and the
+edge list, as an independent model for differential tests.
 
 Nothing here touches `nestedstack.memory_tree`'s persistent trees, the
-successor table `Machine.moves` or the search drivers: successors come
+step table `Machine.step_table` or the search drivers: successors come
 from a scan of the machine's edge list, trees from `tuple_tree.apply`,
 and configurations are deduplicated by the tuple tree's own equality.
 What is shared with the package is the contract each search documents:
 breadth-first order, outedges in machine edge order, where each resource
 cap is checked, and the message a run raises when two edges apply.  Trees come back as `(parents, labels,
 distinguished)` triples, so results compare with the package's directly.
+The determinism check compares edges pair by pair, with the package's
+`defined_on` deciding each operation's domain.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from nestedstack.machine import NondeterminismDetected
-from nestedstack.memory_tree import EPSILON, UNDEFINED
+from nestedstack.machine import DeterminismConflict, NondeterminismDetected
+from nestedstack.memory_tree import EPSILON, UNDEFINED, defined_on
 
 import tuple_tree
 from tuple_tree import TupleTree
@@ -195,3 +197,23 @@ def lift_path(machine, word, caps):
         if edge_count(tree) > caps.max_tree_edges:
             return "cap_exceeded", configs, labels, pos, None
     return "ok", configs, labels, pos, None
+
+
+def check_deterministic(machine):
+    """`machine.check_deterministic`'s answer, pair by pair: two outedges of
+    a state compete when their letters are equal or either is silent, and
+    the first competing pair, by state and then by position in the machine,
+    conflicts at the first symbol (sorted, EPSILON last) and leaf status (at
+    a leaf first) where both operations are defined."""
+    symbols = sorted(machine.memory_alphabet) + [EPSILON]
+    for state in machine.states:
+        outs = [e for e in machine.edges if e.src == state]
+        for i, e1 in enumerate(outs):
+            for e2 in outs[i + 1 :]:
+                if e1.letter != e2.letter and EPSILON not in (e1.letter, e2.letter):
+                    continue
+                for sym in symbols:
+                    for at_leaf in (True, False):
+                        if defined_on(e1.op, sym, at_leaf) and defined_on(e2.op, sym, at_leaf):
+                            return DeterminismConflict(state, e1, e2, sym, at_leaf)
+    return None

@@ -194,13 +194,6 @@ def test_homomorphism_normalizes_and_validates():
         Homomorphism({"a": "bc"}, ("b",))
 
 
-def test_machine_moves_is_cached_per_machine():
-    m = mm.Machine(*SAMPLES[mm.Machine][0])
-    assert m.moves is m.moves
-    assert m.moves["1"]["a"] == (EDGE,)
-    assert mm.Machine(*SAMPLES[mm.Machine][0]).moves is not m.moves
-
-
 def test_machine_step_table_is_cached_per_machine():
     m = mm.Machine(*SAMPLES[mm.Machine][0])
     assert m.step_table is m.step_table

@@ -7,7 +7,7 @@ at the kernel."""
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_search
 from conftest import FIXTURES, free_group_wp_machine, load_machine, random_trees, tree_ops
@@ -30,7 +30,7 @@ from nestedstack.machine import (
     run_trace,
     successors,
 )
-from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply, down, empty_tree, push
+from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply, down, empty_tree, pop, push
 
 FOREIGN = "zz"  # a letter no machine reads
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.nsa"))
@@ -325,6 +325,44 @@ def test_step_table_matches_apply_on_random_machines(rows):
     assert_step_table_matches_apply(random_machine(rows))
 
 
+# --- the determinism check against the pairwise model in reference_search -------
+
+PREIMAGES = [(f"{base}-{hom}-preimage", preimage(load_machine(base), parse_homomorphism((FIXTURES / hom).read_text())))
+             for base, hom in [("anbncndn.nsa", "block4.hom"), ("anbncndn.nsa", "collapse_pq.hom"),
+                               ("xyblock.nsa", "wsplit.hom")]]
+
+
+def assert_determinism_matches_reference(machine):
+    conflict = machine_module.check_deterministic(machine)
+    assert conflict == reference_search.check_deterministic(machine)
+    assert machine.deterministic == (conflict is None)
+
+
+@pytest.mark.parametrize("name,machine", [(n, load_machine(n)) for n in FIXTURE_NAMES] + PREIMAGES,
+                         ids=FIXTURE_NAMES + [name for name, _ in PREIMAGES])
+def test_check_deterministic_matches_reference_on_fixtures(name, machine):
+    assert_determinism_matches_reference(machine)
+
+
+OPS3 = tree_ops(("x", "y", "z")) + [STAY]  # `up eps` included
+EDGE3 = st.builds(Edge, st.sampled_from(STATES), st.sampled_from(STATES), st.sampled_from(OPS3),
+                  st.sampled_from(["a", "b", EPSILON]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(states=st.permutations(STATES), pool=st.lists(EDGE3, min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=10))
+# the first copy of `push x a` meets `pop y a` (at a y leaf) before it meets
+# its own second copy (at an x leaf already, an earlier symbol)
+@example(states=STATES, pool=[Edge("1", "2", push("x"), "a"), Edge("1", "2", pop("y"), "a")], picks=[0, 1, 0])
+def test_check_deterministic_matches_reference_on_random_machines(states, pool, picks):
+    # edges drawn from a small pool, so that an edge often appears more than
+    # once (the constructor allows it) and states are listed in any order
+    machine = Machine(states=tuple(states), initial="1", finals=frozenset(), input_alphabet=frozenset({"a", "b"}),
+                      memory_alphabet=frozenset({"x", "y", "z"}), edges=tuple(pool[i % len(pool)] for i in picks))
+    assert_determinism_matches_reference(machine)
+
+
 # --- verdicts under different caps -------------------------------------------------
 
 CAPS = st.builds(ResourceCaps, st.integers(0, 60), st.integers(0, 4), st.integers(0, 6))
@@ -525,6 +563,17 @@ def test_search_work_is_pinned(quad, counted, query, applies, defined, taken):
     run = {row[0]: row[1] for row in SEARCH_WORK}[query]
     run(quad)
     assert (counted["apply"], counted["defined"], counted["taken"]) == (applies, defined, taken)
+
+
+def test_enumeration_stops_at_the_first_pruned_successor(quad, monkeypatch):
+    # the third configuration popped pushes a third edge: a search that went
+    # on past it would reach the step cap instead
+    calls = []
+    original = machine_module.successors
+    monkeypatch.setattr(machine_module, "successors", lambda *args: calls.append(args) or original(*args))
+    with pytest.raises(EnumerationCapExceeded, match="^max_tree_edges$"):
+        enumerate_accepted(quad, 12, ResourceCaps(max_steps=50, max_tree_edges=2))
+    assert len(calls) == 3
 
 
 EVEN_PALINDROMES = parse_machine(
