@@ -566,8 +566,8 @@ def test_search_work_is_pinned(quad, counted, query, applies, defined, taken):
 
 
 def test_enumeration_stops_at_the_first_pruned_successor(quad, monkeypatch):
-    # the third configuration popped pushes a third edge: a search that went
-    # on past it would reach the step cap instead
+    # a successor of the third configuration popped has a third edge; a
+    # search that went on past it would call `successors` again
     calls = []
     original = machine_module.successors
     monkeypatch.setattr(machine_module, "successors", lambda *args: calls.append(args) or original(*args))
