@@ -9,11 +9,13 @@ every report carries that horizon.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .graphs import bfs_distances, weighted_path_bound
-from .machine import Machine, ResourceCaps, _both_apply, successors
-from .memory_tree import _EMPTY, _HASH, _INDEX, _LABEL, _PARENT, _PREV, _SAVED, _tree, EPSILON, MemoryTree, empty_tree
+from .machine import Machine, ResourceCaps, _both_apply, _run, successors
+from .memory_tree import _INDEX, EPSILON, MemoryTree, empty_tree
 
 
 class Configuration(NamedTuple):
@@ -265,45 +267,25 @@ def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> Li
     configuration whose non-silent labels spell `word`, with forced silent
     moves interleaved.  The lift stops right after the last letter, before
     any trailing silent run, and takes at most `caps.max_steps` steps.
-    Raises NondeterminismDetected if two continuations apply."""
+    Raises NondeterminismDetected if two continuations apply, also in front
+    of the step cap: where two edges apply at the start, a step cap of 0
+    raises here (`machine.run_trace` stops with `max_steps`), and a cap of 1
+    raises in both."""
     word = tuple(word)
-    n, pos, max_steps, max_tree_edges, new = len(word), 0, caps.max_steps, caps.max_tree_edges, tuple.__new__
     configs = [Configuration(machine.initial, empty_tree())]
-    labels: List[str] = []
-    if n == 0:
-        return LiftResult("ok", configs, labels, pos)
-    table, state, spine = machine.step_table, machine.initial, None
-    latest = node = _EMPTY._latest
-    while True:
-        row = table[state]
-        cell = row.get(word[pos], row[EPSILON])[node[_LABEL]][spine is None]
-        if not cell:
-            return LiftResult("stuck", configs, labels, pos, stuck_at=pos)
-        if len(cell) > 1:
-            raise _both_apply(state, configs[-1].tree, cell)
-        if len(labels) >= max_steps:  # the step exists, but is one too many
-            return LiftResult("cap_exceeded", configs, labels, pos)
-        e = cell[0]
-        kind, symbol = e.op  # as in `machine._accepts_deterministic`
-        if kind == "push":
-            v = node[_INDEX]
-            latest = node = (latest[_INDEX] + 1, symbol, v, node, latest, spine, hash((latest[_HASH], v, symbol)))
-            spine = None
-        elif kind == "down":
-            node, spine = node[_PARENT], (node, spine)
-        elif kind == "up":
-            node, spine = spine
-        elif kind == "pop":
-            latest, node, spine = node[_PREV], node[_PARENT], node[_SAVED]
-        state = e.dst
-        configs.append(new(Configuration, (state, _tree(latest, node, spine, node[_INDEX]))))  # NamedTuple.__new__ is a Python call
-        labels.append(e.letter)
-        if e.letter != EPSILON:
-            pos += 1
-        if latest[_INDEX] > max_tree_edges:
-            return LiftResult("cap_exceeded", configs, labels, pos)
-        if pos == n:
-            return LiftResult("ok", configs, labels, pos)
+    if not word:
+        return LiftResult("ok", configs, [], 0)
+    edges, trees, reads, cell = _run(machine, word, len(word), caps)
+    consumed = reads[-1] if reads else 0
+    configs += map(tuple.__new__, repeat(Configuration), zip(map(attrgetter("dst"), edges), trees))  # NamedTuple.__new__ is a Python call
+    labels = list(map(attrgetter("letter"), edges))
+    if len(cell) > 1:
+        raise _both_apply(*configs[-1], cell)  # the step cap stopped the run in front of two edges
+    if cell or trees and trees[-1].edge_count > caps.max_tree_edges:
+        return LiftResult("cap_exceeded", configs, labels, consumed)
+    if consumed < len(word):
+        return LiftResult("stuck", configs, labels, consumed, stuck_at=consumed)
+    return LiftResult("ok", configs, labels, consumed)
 
 
 def dot_quote(text: str) -> str:

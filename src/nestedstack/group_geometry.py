@@ -14,9 +14,7 @@ from functools import cached_property
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graphs import CapExceeded, bfs_distances, bfs_tree
-from .groups import (  # re-exported: callers name the oracles through this module too
-    DirectProduct, FiniteGroup, FreeAbelianGroup, FreeGroup, GroupOracle, Word, make_oracle, parse_finite_table,
-)
+from .groups import GroupOracle, Word, make_oracle  # make_oracle re-exported: perfbench reads it here
 
 # --- Cayley windows -------------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .memory_tree import (
@@ -521,30 +522,22 @@ def _both_apply(state: str, tree: MemoryTree, cell: Tuple[Edge, ...]) -> Nondete
     return NondeterminismDetected(f"state {state}, tree {tree}: edges {cell[0]} and {cell[1]} both apply")
 
 
-def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> Trace:
-    """The unique maximal computation of a deterministic machine reading a
-    prefix of `word`, as a listing of at most `caps.max_steps` steps: each
-    step is the edge taken, the tree after it and the number of letters
-    consumed so far.  Silent edges fire anywhere; a consuming edge fires on
-    the next unread letter.  The run ends when no edge applies, at the step
-    cap, or right after the first step whose tree has more than
-    `caps.max_tree_edges` edges; `stopped` names the cap that ended it.
-
-    Raises NondeterminismDetected if two continuations ever apply, naming
-    the first two in machine edge order."""
-    word = tuple(word)
-    n, finals, new = len(word), machine.finals, tuple.__new__
-    max_steps, max_tree_edges = max(caps.max_steps, 0), caps.max_tree_edges  # a negative cap acts as 0
-    letters, table, state, pos = (*word, EPSILON), machine.step_table, machine.initial, 0
+def _run(machine: Machine, letters: tuple, end: int, caps: ResourceCaps):
+    """The unique run of a deterministic machine on `letters`, one
+    `step_table` cell per step, applied inline as in `_accepts_deterministic`.
+    Returns the edges taken, the tree and the number of letters read after
+    each step, and the cell in front of the run: empty at a dead end, and
+    untaken at the step cap, where two edges are not checked.  The run also
+    stops, returning (), right after a step over the tree cap or a step that
+    reads letter number `end` (-1: none)."""
+    max_steps, max_tree_edges, table = caps.max_steps, caps.max_tree_edges, machine.step_table
+    state, pos, tree, spine, edges, trees, reads = machine.initial, 0, _EMPTY, None, [], [], []
     latest = node = _EMPTY._latest
-    spine, tree = None, _EMPTY
-    steps: List[TraceStep] = []
-    accepted_at = [0] if not word and state in finals else []
     while True:
         row = table[state]
         cell = row.get(letters[pos], row[EPSILON])[node[_LABEL]][spine is None]
-        if not cell or len(steps) == max_steps:
-            break
+        if not cell or len(edges) >= max_steps:
+            return edges, trees, reads, cell
         if len(cell) > 1:
             raise _both_apply(state, tree, cell)
         e = cell[0]
@@ -560,13 +553,37 @@ def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resour
         elif kind == "pop":
             latest, node, spine = node[_PREV], node[_PARENT], node[_SAVED]
         tree, state = _tree(latest, node, spine, node[_INDEX]), e.dst
+        edges.append(e)
+        trees.append(tree)
         if e.letter != EPSILON:
             pos += 1
-        steps.append(new(TraceStep, (e, tree, pos)))  # NamedTuple.__new__ is a Python call
-        if pos == n and state in finals and latest[_INDEX] == 0:
-            accepted_at.append(len(steps))
-        if latest[_INDEX] > max_tree_edges:
-            break
-    stopped = "max_tree_edges" if latest[_INDEX] > max_tree_edges else "max_steps" if cell else "halted"
-    return Trace(word=word, steps=tuple(steps), consumed=pos, final_state=state, final_tree=tree,
+        reads.append(pos)
+        if latest[_INDEX] > max_tree_edges or pos == end:
+            return edges, trees, reads, ()
+
+
+def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> Trace:
+    """The unique maximal computation of a deterministic machine reading a
+    prefix of `word`, as a listing of at most `caps.max_steps` steps: each
+    step is the edge taken, the tree after it and the number of letters
+    consumed so far.  Silent edges fire anywhere; a consuming edge fires on
+    the next unread letter.  The run ends when no edge applies, at the step
+    cap, or right after the first step whose tree has more than
+    `caps.max_tree_edges` edges; `stopped` names the cap that ended it.
+
+    Raises NondeterminismDetected if two continuations apply before the
+    step cap ends the run, naming the first two in machine edge order.  The
+    cap ends it in front of the next cell, unchecked: where two edges apply
+    at the start, a step cap of 0 stops with `max_steps` (there
+    `config_graph.lift_path` raises), and a cap of 1 raises in both."""
+    word = tuple(word)
+    edges, trees, consumed, cell = _run(machine, (*word, EPSILON), -1, caps)
+    first = len(consumed) - consumed.count(len(word))  # the steps from here on end with the whole word read
+    finals, tree = machine.finals, trees[-1] if trees else _EMPTY
+    accepted_at = [0] if not word and machine.initial in finals else []
+    accepted_at += [i + 1 for i in range(first, len(edges)) if edges[i].dst in finals and trees[i]._latest[_INDEX] == 0]
+    stopped = "max_tree_edges" if tree._latest[_INDEX] > caps.max_tree_edges else "max_steps" if cell else "halted"
+    steps = tuple(map(tuple.__new__, repeat(TraceStep), zip(edges, trees, consumed)))  # NamedTuple.__new__ is a Python call
+    return Trace(word=word, steps=steps, consumed=consumed[-1] if consumed else 0,
+                 final_state=edges[-1].dst if edges else machine.initial, final_tree=tree,
                  accepted_at=tuple(accepted_at), stopped=stopped)

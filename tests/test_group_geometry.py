@@ -2,19 +2,14 @@ import pytest
 
 from nestedstack.cli_common import _oracle, _UsageError
 from nestedstack.group_geometry import (
-    DirectProduct,
-    FiniteGroup,
-    FreeAbelianGroup,
-    FreeGroup,
     WindowCapExceeded,
     ball,
     ends_probe,
-    make_oracle,
     min_separator,
     narrowness_probe,
-    parse_finite_table,
     qi_check,
 )
+from nestedstack.groups import DirectProduct, FiniteGroup, FreeAbelianGroup, FreeGroup, make_oracle, parse_finite_table
 
 from conftest import FIXTURES
 

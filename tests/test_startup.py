@@ -170,6 +170,27 @@ def test_only_graphs_and_machine_import_deque():
     assert "graphs.py" in users and users <= {"graphs.py", "machine.py"}
 
 
+# the node fields and the tree constructor of `memory_tree` that a run
+# needs to step a tree inline
+NODE_LAYOUT = {"_EMPTY", "_HASH", "_LABEL", "_PARENT", "_PREV", "_SAVED", "_tree"}
+
+
+def test_only_machine_steps_memory_tree_nodes():
+    # `machine` walks every run, so it alone knows the node layout and reads
+    # `Machine.step_table`; `config_graph` reads only the edge count, for
+    # `build`'s tree cap
+    private, table_readers = {}, set()
+    for path in sorted((ROOT / "src" / "nestedstack").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("memory_tree", "nestedstack.memory_tree"):
+                private.setdefault(path.name, set()).update(a.name for a in node.names if a.name.startswith("_"))
+            elif isinstance(node, ast.Attribute) and node.attr == "step_table":
+                table_readers.add(path.name)
+    assert {name for name, names in private.items() if names & NODE_LAYOUT} == {"machine.py"}
+    assert private.get("config_graph.py", set()) <= {"_INDEX"}
+    assert table_readers == {"machine.py"}
+
+
 def test_public_names_resolve_to_the_submodule_objects():
     for module, names in PUBLIC.items():
         sub = importlib.import_module(f"nestedstack.{module}")

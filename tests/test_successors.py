@@ -434,6 +434,26 @@ def test_a_step_cap_below_one_stops_every_search_before_its_first_step(max_steps
         enumerate_accepted(anbn, 2, caps)
 
 
+# Two edges apply at the start.
+TWO_PUSHES = parse_machine(
+    "states: 1 2\nstart: 1\nfinal: 2\ninput: a\nmemory: x y\nedge: 1 2 push x a\nedge: 1 2 push y a\n"
+)
+
+
+def test_a_trace_stops_at_the_step_cap_where_a_lift_raises():
+    # at a step cap of 0 the trace stops in front of the two edges, and the
+    # lift checks them first; at 1 both take the step and find two edges
+    message = r"state 1, tree .*: edges 1 -\(push x, a\)-> 2 and 1 -\(push y, a\)-> 2 both apply"
+    zero, one = ResourceCaps(max_steps=0), ResourceCaps(max_steps=1)
+    trace = run_trace(TWO_PUSHES, "a", zero)
+    assert (trace.stopped, trace.steps, trace.consumed) == ("max_steps", (), 0)
+    with pytest.raises(NondeterminismDetected, match=message):
+        lift_path(TWO_PUSHES, "a", zero)
+    for run in (run_trace, lift_path):
+        with pytest.raises(NondeterminismDetected, match=message):
+            run(TWO_PUSHES, "a", one)
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_a_negative_step_cap_acts_as_zero(name):
     machine = load_machine(name)

@@ -10,8 +10,10 @@ tracer that watches only the package's own files, then prints
 docstrings, `def` and `class` lines and imports.  Code that runs in a
 subprocess (`python -m nestedstack.cli` from a test) is not traced, so
 its statements count as unexecuted unless an in-process test also runs
-them.  Uses the standard library only, besides pytest itself; pytest does
-not collect this file.  It takes about four times as long as the suite.
+them.  It also names each test that failed under the tracer: a test with
+a wall-clock bound can fail there only because tracing slows it down.
+Uses the standard library only, besides pytest itself; pytest does not
+collect this file.  It takes about four times as long as the suite.
 """
 
 import ast
@@ -49,11 +51,19 @@ def _global(frame, event, arg):
 class _Retrace:
     """Installs the tracer again before each test, so that a test that
     installs a tracer of its own, as hypothesis does to explain a failing
-    example, does not end the tracing of every later test."""
+    example, does not end the tracing of every later test.  Keeps the ids
+    of the tests that failed."""
+
+    def __init__(self):
+        self.failed = {}  # node id -> None, in the order the tests failed
 
     @pytest.hookimpl(tryfirst=True)
     def pytest_runtest_setup(self, item):
         sys.settrace(_global)
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.failed[report.nodeid] = None
 
 
 def executed():
@@ -80,11 +90,12 @@ def statements(path: Path):
 
 
 def main() -> int:
+    retrace = _Retrace()
     sys.settrace(_global)
     try:
         # a fixed hypothesis seed draws the same examples, so the list repeats from run to run
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "--hypothesis-seed=0",
-                            str(ROOT / "tests")], plugins=[_Retrace()])
+                            str(ROOT / "tests")], plugins=[retrace])
     finally:
         sys.settrace(None)
     ran = executed()
@@ -95,6 +106,8 @@ def main() -> int:
             if line not in hit:
                 print(f"{path.relative_to(ROOT)}:{line}: {text}")
                 missed += 1
+    for nodeid in retrace.failed:
+        print(f"failed under the tracer: {nodeid}")
     print(f"{missed} statements never executed in-process (pytest exit code {code})")
     return int(code)
 
