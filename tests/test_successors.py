@@ -442,7 +442,7 @@ TWO_PUSHES = parse_machine(
 
 def test_a_trace_stops_at_the_step_cap_where_a_lift_raises():
     # at a step cap of 0 the trace stops in front of the two edges, and the
-    # lift checks them first; at 1 both take the step and find two edges
+    # lift checks them first; at 1 both may take a step, so both check them
     message = r"state 1, tree .*: edges 1 -\(push x, a\)-> 2 and 1 -\(push y, a\)-> 2 both apply"
     zero, one = ResourceCaps(max_steps=0), ResourceCaps(max_steps=1)
     trace = run_trace(TWO_PUSHES, "a", zero)
