@@ -14,7 +14,7 @@ from operator import attrgetter
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .graphs import bfs_distances, weighted_path_bound
-from .machine import Machine, ResourceCaps, _both_apply, _run, successors
+from .machine import Machine, ResourceCaps, _both_apply, _gc_paused, _run, successors
 from .memory_tree import _INDEX, EPSILON, MemoryTree, empty_tree
 
 
@@ -107,6 +107,7 @@ class ConfigGraph(NamedTuple):
         return [sorted(ns) for ns in adj]
 
 
+@_gc_paused
 def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGraph:
     """Breadth-first exploration from (initial, empty tree) up to the horizon.
 
@@ -262,6 +263,7 @@ class LiftResult(NamedTuple):
         return self.configs[-1]
 
 
+@_gc_paused
 def lift_path(machine: Machine, word, caps: ResourceCaps = ResourceCaps()) -> LiftResult:
     """The unique path of a deterministic machine from the initial
     configuration whose non-silent labels spell `word`, with forced silent

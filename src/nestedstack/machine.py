@@ -8,8 +8,9 @@ so a verdict is ACCEPTED, REJECTED (exhaustive search), or CAP_EXCEEDED.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import repeat
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
@@ -20,8 +21,6 @@ from .memory_tree import (
     MemoryTree,
     StackOp,
     apply,
-    defined_on,
-    empty_tree,
 )
 
 Word = Tuple[str, ...]
@@ -96,17 +95,22 @@ class Machine(_MachineFields):
         the edges defined when the current symbol is s (EPSILON at the root)
         and the distinguished vertex is not the latest one, then when it is.
         row[a][None], the push and stay edges, serves symbols no edge names."""
-        outs: Dict[str, List[Edge]] = {q: [] for q in self.states}
-        for e in self.edges:
-            outs[e.src].append(e)
         symbols = (*self.memory_alphabet, EPSILON, None)
-        table = {}
-        for q, edges in outs.items():
-            row = {a: [e for e in edges if e.letter in (a, EPSILON)] for a in {e.letter for e in edges} | {EPSILON}}
-            row[None] = edges
-            table[q] = {a: {s: tuple(tuple(e for e in row[a] if defined_on(e.op, s, leaf)) for leaf in (False, True))
-                            for s in symbols} for a in row}
-        return table
+        everywhere = [(s, leaf) for s in symbols for leaf in (0, 1)]
+        table = {q: {a: {s: ([], []) for s in symbols} for a in (EPSILON, None)} for q in self.states}
+        for e in self.edges:  # an edge's cells follow from its operation alone
+            row, letter = table[e.src], e.letter
+            if letter not in row:  # a letter's row starts with the silent edges before its first edge
+                row[letter] = {s: (off[:], at[:]) for s, (off, at) in row[EPSILON].items()}
+            kind, symbol = e.op
+            cells = (everywhere if kind in ("push", "stay") else [(symbol, 0), (symbol, 1)] if kind == "down"
+                     else [(symbol, kind == "pop")])
+            for a, columns in row.items():
+                if letter in (a, EPSILON) or a is None:
+                    for s, leaf in cells:
+                        columns[s][leaf].append(e)
+        return {q: {a: {s: (tuple(off), tuple(at)) for s, (off, at) in columns.items()} for a, columns in row.items()}
+                for q, row in table.items()}
 
     @cached_property
     def deterministic(self) -> bool:
@@ -266,6 +270,24 @@ def format_machine(machine: Machine) -> str:
 # --- running machines ---------------------------------------------------
 
 
+def _gc_paused(run):
+    """`run` with the cyclic garbage collector paused for the length of each
+    call, and restored on every exit; left alone when the caller had already
+    paused it.  For calls that build only acyclic data (nodes point at older
+    nodes, trees and configurations at nodes), which reference counting
+    frees: there a collection reclaims nothing and only walks it again."""
+    @wraps(run)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return run(*args, **kwargs)
+        gc.disable()
+        try:
+            return run(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
 class ResourceCaps(NamedTuple):
     max_steps: int = 10**6
     max_tree_edges: int = 10**4
@@ -300,47 +322,81 @@ def successors(
 
 
 def _search(machine: Machine, letters: tuple, goal: Optional[int], caps: ResourceCaps):
-    """Breadth-first search over (state, tree, tag) triples, in machine edge
-    order, with deduplication.  With a `goal`, the tag is the position in
-    `letters` (the word, then EPSILON), the search stops at the first
-    configuration at the goal in a final state with empty memory, and
-    successors over the tree cap are pruned.  With none, the tag is the word
-    read, `letters[len(tag)]` says what to read next (None: any letter), and
-    the first pruned successor ends the search.  Returns the parent map
+    """Breadth-first search over configurations (state, latest, node, tag),
+    in machine edge order, with deduplication.  Trees live in an arena
+    private to the call, as numbered nodes: node 0 is the root, and a push
+    of symbol s onto the tree with latest node l and distinguished node d
+    makes the node interned under (l, d, s).  That fixes a node's whole
+    creation history, so two trees are equal exactly when their latest and
+    distinguished node numbers are, and `latest == 0` is the empty tree.
+    A tree's spine (see `MemoryTree`) rides in the queue entry, outside the
+    configuration.  With a `goal`, the tag is the position in `letters`
+    (the word, then EPSILON), the search stops at the first configuration
+    at the goal in a final state with empty memory, and successors over the
+    tree cap are pruned.  With none, the tag is the word read,
+    `letters[len(tag)]` says what to read next (None: any letter), and the
+    first pruned successor ends the search.  Returns the parent map
     (configuration -> (predecessor, edge), None at the start), the goal
     configuration or None, and the caps that fired."""
-    counting, empty, finals = goal is not None, empty_tree(), machine.finals
+    counting, finals, table = goal is not None, machine.finals, machine.step_table
     max_steps, max_tree_edges, max_frontier = caps
     advance = {a: 1 if counting else (a,) for a in machine.input_alphabet}
     advance[EPSILON] = 0 if counting else ()
-    start = (machine.initial, empty, 0 if counting else ())
+    # node n: the label of its inedge, its parent, the latest node before it,
+    # the spine from its parent down to that node, and its tree's edge count
+    labels, parents, prevs, saved, sizes, interned = [EPSILON], [0], [0], [None], [0], {}
+    start = (machine.initial, 0, 0, 0 if counting else ())
     parent: Dict[tuple, Optional[Tuple[tuple, Edge]]] = {start: None}
-    queue = deque([start])
+    queue = deque([(start, None)])
     pruned, stop, steps = False, None, 0
     while queue:
         if len(queue) > max_frontier:
             stop = "max_frontier"
             break
-        state, tree, tag = cfg = queue.popleft()
-        if tag == goal and state in finals and tree == empty:
+        cfg, spine = queue.popleft()
+        state, latest, node, tag = cfg
+        if tag == goal and not latest and state in finals:
             return parent, cfg, ()
         steps += 1
         if steps > max_steps:
             stop = "max_steps"
             break
-        for e, t2 in successors(machine, state, tree, letters[tag if counting else len(tag)]):
-            if t2._latest[_INDEX] > max_tree_edges:
+        room = max_tree_edges - sizes[latest]  # a push needs one more edge, any other step none
+        row = table[state]
+        for e in row.get(letters[tag if counting else len(tag)], row[EPSILON])[labels[node]][spine is None]:
+            kind, symbol = e.op  # the branches of `apply`, whose domain tests the table has made
+            if room < (kind == "push"):
                 pruned = True
                 if counting:
                     continue
                 queue.clear()  # an enumeration that missed a branch has no answer
                 break
-            nxt = (e.dst, t2, tag + advance[e.letter])
+            if kind == "push":
+                new = len(labels)
+                latest2 = node2 = interned.setdefault((latest, node, symbol), new)
+                spine2 = None
+                if latest2 == new:  # the first push of its kind numbers a node
+                    labels.append(symbol)
+                    parents.append(node)
+                    prevs.append(latest)
+                    saved.append(spine)
+                    sizes.append(sizes[latest] + 1)
+            elif kind == "stay":
+                latest2, node2, spine2 = latest, node, spine
+            elif kind == "down":
+                latest2, node2, spine2 = latest, parents[node], (node, spine)
+            elif kind == "up":
+                latest2 = latest
+                node2, spine2 = spine
+            else:  # pop
+                latest2, node2, spine2 = prevs[node], parents[node], saved[node]
+            nxt = (e.dst, latest2, node2, tag + advance[e.letter])
             if parent.setdefault(nxt, link := (cfg, e)) is link:  # one hash of nxt, new or not
-                queue.append(nxt)
+                queue.append((nxt, spine2))
     return parent, None, (("max_tree_edges",) if pruned else ()) + ((stop,) if stop else ())
 
 
+@_gc_paused
 def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> AcceptResult:
     """Breadth-first search over (state, tree, position) with deduplication.
 
@@ -359,7 +415,7 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
             cfg, e = link
             path.append(e)
         path.reverse()
-        return AcceptResult(ACCEPTED, witness=Computation(tuple(path), word, goal[1]))
+        return AcceptResult(ACCEPTED, witness=Computation(tuple(path), word, _EMPTY))
     return AcceptResult(CAP_EXCEEDED if caps_hit else REJECTED, caps_hit=caps_hit)
 
 
@@ -418,6 +474,7 @@ class EnumerationCapExceeded(RuntimeError):
     """Enumeration would be unsound: a resource cap pruned live branches."""
 
 
+@_gc_paused
 def enumerate_accepted(
     machine: Machine, max_len: int, caps: ResourceCaps = ResourceCaps()
 ) -> Set[Word]:
@@ -429,8 +486,7 @@ def enumerate_accepted(
     parent, _, caps_hit = _search(machine, (None,) * max_len + (EPSILON,), None, caps)
     if caps_hit:
         raise EnumerationCapExceeded(caps_hit[0])
-    empty = empty_tree()
-    return {word for state, tree, word in parent if state in machine.finals and tree == empty}
+    return {word for state, latest, _, word in parent if not latest and state in machine.finals}
 
 
 # --- decision procedures -------------------------------------------------
@@ -562,6 +618,7 @@ def _run(machine: Machine, letters: tuple, end: int, caps: ResourceCaps):
             return edges, trees, reads, ()
 
 
+@_gc_paused
 def run_trace(machine: Machine, word: Iterable[str], caps: ResourceCaps = ResourceCaps()) -> Trace:
     """The unique maximal computation of a deterministic machine reading a
     prefix of `word`, as a listing of at most `caps.max_steps` steps: each

@@ -2,8 +2,11 @@
 searches built on it against each other and against a model over tuple
 trees, the relations between verdicts under different caps and between
 searches at neighbouring horizons, and the work the searches do, counted
-at the kernel."""
+at the kernel, and the collector pause around every public search and run."""
 
+import gc
+import inspect
+from collections import deque
 from itertools import product
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_search
 from conftest import FIXTURES, free_group_wp_machine, load_machine, random_trees, tree_ops
-from nestedstack import machine as machine_module
+from nestedstack import config_graph, machine as machine_module
 from nestedstack.cli import main
 from nestedstack.config_graph import BuildHorizon, build, lift_path
 from nestedstack.hom import parse_homomorphism, preimage
@@ -538,9 +541,10 @@ def counted(monkeypatch):
     """Counts of `apply` calls made through `machine.apply`, where the
     benchmark tracer patches it, of edges taken (every search reads an
     edge's `dst` once per successor it goes on to) and of memory-tree
-    hashes."""
-    counts = {"apply": 0, "defined": 0, "taken": 0, "hash": 0}
+    hashes and equality tests."""
+    counts = {"apply": 0, "defined": 0, "taken": 0, "hash": 0, "eq": 0}
     original_apply, original_hash = machine_module.apply, MemoryTree.__dict__["__hash__"]
+    original_eq = MemoryTree.__dict__["__eq__"]
 
     def counting_apply(op, tree):
         counts["apply"] += 1
@@ -556,9 +560,14 @@ def counted(monkeypatch):
         counts["hash"] += 1
         return original_hash(tree)
 
+    def counting_eq(tree, other):
+        counts["eq"] += 1
+        return original_eq(tree, other)
+
     monkeypatch.setattr(machine_module, "apply", counting_apply)
     monkeypatch.setattr(Edge, "dst", property(counting_dst))
     monkeypatch.setattr(MemoryTree, "__hash__", counting_hash)
+    monkeypatch.setattr(MemoryTree, "__eq__", counting_eq)
     return counts
 
 
@@ -566,12 +575,12 @@ def counted(monkeypatch):
 # `step_table` offers only edges whose operation is defined, so every
 # `apply` call is defined; a count that moves means a search explores
 # something else, or bypasses the `machine.apply` the tracer patches.  The
-# deterministic run applies its steps inline and calls `apply` not at all:
-# its edges taken are its steps.
+# deterministic run and the breadth-first search apply their steps inline
+# and call `apply` not at all: their edges taken are their steps.
 SEARCH_WORK = [
     ("accepts-member", lambda quad: accepts(quad, "aabbccddabcd"), 0, 0, 16),
     ("accepts-nonmember", lambda quad: accepts(quad, "aabbccdda"), 0, 0, 12),
-    ("enumerate", lambda quad: enumerate_accepted(quad, 12), 133, 133, 133),
+    ("enumerate", lambda quad: enumerate_accepted(quad, 12), 0, 0, 133),
     ("build", lambda quad: build(quad, BuildHorizon(max_tree_edges=6)), 43, 43, 42),
     ("build-truncated", lambda quad: build(quad, BuildHorizon(max_tree_edges=6, max_vertices=20)), 25, 25, 24),
 ]
@@ -585,15 +594,13 @@ def test_search_work_is_pinned(quad, counted, query, applies, defined, taken):
     assert (counted["apply"], counted["defined"], counted["taken"]) == (applies, defined, taken)
 
 
-def test_enumeration_stops_at_the_first_pruned_successor(quad, monkeypatch):
-    # a successor of the third configuration popped has a third edge; a
-    # search that went on past it would call `successors` again
-    calls = []
-    original = machine_module.successors
-    monkeypatch.setattr(machine_module, "successors", lambda *args: calls.append(args) or original(*args))
+def test_enumeration_stops_at_the_first_pruned_successor(quad, counted):
+    # the start's successor and its successor are taken; a successor of the
+    # third configuration popped has a third edge, and a search that went on
+    # past it would take 17 more edges before its queue ran dry
     with pytest.raises(EnumerationCapExceeded, match="^max_tree_edges$"):
         enumerate_accepted(quad, 12, ResourceCaps(max_steps=50, max_tree_edges=2))
-    assert len(calls) == 3
+    assert counted["taken"] == 2
 
 
 EVEN_PALINDROMES = parse_machine(
@@ -603,15 +610,15 @@ EVEN_PALINDROMES = parse_machine(
 )
 
 
-def test_searches_hash_each_candidate_once(quad, counted):
-    # no cap fires and nothing is accepted, so every hash is a dedup probe:
-    # one for the start and one per defined successor
+def test_searches_hash_no_memory_tree(quad, counted):
+    # the breadth-first search keeps its trees as node numbers, so it
+    # neither builds, hashes nor compares a `MemoryTree`, also on a witness
     assert not EVEN_PALINDROMES.deterministic
     assert accepts(EVEN_PALINDROMES, "abbab").verdict == REJECTED
-    assert counted["hash"] == 1 + counted["defined"] > 1
-    counted.update(apply=0, defined=0, taken=0, hash=0)
+    assert accepts(EVEN_PALINDROMES, "abba").witness.outcome is empty_tree()
+    assert counted["taken"] > 1
     enumerate_accepted(quad, 12)
-    assert counted["hash"] == 1 + counted["defined"]
+    assert (counted["apply"], counted["hash"], counted["eq"]) == (0, 0, 0)
 
 
 def test_the_deterministic_run_hashes_silent_stretches_only(quad, counted):
@@ -619,6 +626,104 @@ def test_the_deterministic_run_hashes_silent_stretches_only(quad, counted):
     # configuration a stretch starts from, and one per silent step
     assert accepts(quad, "aabbccdda").verdict == REJECTED
     assert counted["hash"] == 5
-    counted.update(apply=0, defined=0, taken=0, hash=0)
+    counted.update(apply=0, defined=0, taken=0, hash=0, eq=0)
     assert accepts(quad, "aabbccddabcd").verdict == ACCEPTED
     assert counted["hash"] == 7
+
+
+# --- the search's node arena against the model --------------------------------------
+
+
+def reached(search, *args):
+    """How many configurations a search of `reference_search` reaches: its
+    start and each configuration it queues, each once."""
+    queued = []
+
+    class Recording(deque):
+        def __init__(self, items):
+            super().__init__(items)
+            queued.extend(items)
+
+        def append(self, item):
+            super().append(item)
+            queued.append(item)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference_search, "deque", Recording)
+        search(*args)
+    assert len(set(queued)) == len(queued)
+    return len(queued)
+
+
+def assert_search_reaches_as_reference(machine, words, max_len, caps):
+    """`_search` numbers a tree by its creation history, so its parent map
+    holds as many configurations as the model reaches comparing tuple trees
+    by value: a tree pushed again after a pop is found again, not made anew."""
+    for word in words:
+        parent, _, _ = machine_module._search(machine, (*word, EPSILON), len(word), caps)
+        assert len(parent) == reached(reference_search.accepts, machine, word, caps), word
+    parent, _, _ = machine_module._search(machine, (None,) * max_len + (EPSILON,), None, caps)
+    assert len(parent) == reached(reference_search.enumerate_accepted, machine, max_len, caps)
+
+
+POPCYCLE = load_machine("popcycle.nsa")
+
+
+def test_the_search_interns_trees_across_pop_and_push_cycles():
+    caps = ResourceCaps(max_steps=400, max_tree_edges=4, max_frontier=200)
+    assert_search_reaches_as_reference(POPCYCLE, words_up_to("a", 4), 4, caps)
+    # verdicts are not monotone in the tree cap: a larger one widens the search past the goal
+    assert accepts(POPCYCLE, "aa", ResourceCaps(3, 1, 2)).verdict == ACCEPTED
+    assert accepts(POPCYCLE, "aa", ResourceCaps(3, 2, 2)).verdict == CAP_EXCEEDED
+
+
+# pushes an x on reading a, then pops it and pushes it again silently
+POP_PUSH_CYCLE = [("1", "2", OPS.index(push("x")), "a"), ("2", "3", OPS.index(pop("x")), EPSILON),
+                  ("3", "2", OPS.index(push("x")), EPSILON)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(EDGE, max_size=10), finals=st.sets(st.sampled_from(STATES)),
+       caps=st.builds(ResourceCaps, st.integers(0, 60), st.integers(0, 3), st.integers(0, 20)))
+# after the push of x, y is pushed under x, and under the root after a down:
+# two trees whose latest node before the push is the same
+@example(rows=[("2", "3", OPS.index(push("y")), EPSILON), ("2", "2", OPS.index(down("x")), EPSILON)],
+         finals=set(), caps=ResourceCaps(60, 3, 20))
+def test_the_search_interns_trees_on_random_machines(rows, finals, caps):
+    machine = random_machine(rows + POP_PUSH_CYCLE, finals)
+    assert_search_reaches_as_reference(machine, words_up_to("ab", 2), 2, caps)
+
+
+# --- the collector pause ------------------------------------------------------------
+
+PAUSED = [accepts, enumerate_accepted, run_trace, lift_path, build]
+
+
+def test_the_collector_is_paused_for_each_call_and_then_restored(monkeypatch):
+    inside = []
+    for module, name in [(machine_module, "_search"), (machine_module, "_accepts_deterministic"),
+                         (machine_module, "_run"), (config_graph, "_run"), (config_graph, "successors")]:
+        monkeypatch.setattr(module, name, lambda *args, _run=getattr(module, name): inside.append(gc.isenabled())
+                            or _run(*args))
+    anbn = load_machine("anbn.nsa")
+    returning = [lambda: accepts(anbn, "ab"), lambda: accepts(EVEN_PALINDROMES, "abba"),
+                 lambda: enumerate_accepted(anbn, 4), lambda: run_trace(anbn, "ab"), lambda: lift_path(anbn, "ab"),
+                 lambda: build(anbn, BuildHorizon(max_tree_edges=3))]
+    raising = [lambda: run_trace(TWO_PUSHES, "a"), lambda: lift_path(TWO_PUSHES, "a")]
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):  # the caller's collector: running, then already paused
+            gc.enable() if enabled else gc.disable()
+            for call in returning + raising:
+                inside.clear()
+                if call in raising:
+                    with pytest.raises(NondeterminismDetected):
+                        call()
+                else:
+                    call()
+                assert inside and not any(inside)
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    for run in PAUSED:  # the pause adds no parameter and keeps the docstring
+        assert inspect.signature(run) == inspect.signature(run.__wrapped__) and run.__doc__ == run.__wrapped__.__doc__

@@ -2,10 +2,12 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/uncovered.py
+    PYTHONPATH=src python tests/uncovered.py [pytest options]
 
-It runs the whole suite in this process under a `sys.settrace` line
-tracer that watches only the package's own files, then prints
+It runs the whole suite in this process, with the options given, under a
+`sys.settrace` line tracer that watches only the package's own files.
+Without a `--hypothesis-seed` option the seed is 0, so that hypothesis
+draws the same examples and the list repeats from run to run.  It prints
 `file:line: statement` for every statement no test executed, leaving out
 docstrings, `def` and `class` lines and imports.  Code that runs in a
 subprocess (`python -m nestedstack.cli` from a test) is not traced, so
@@ -89,20 +91,22 @@ def statements(path: Path):
         yield node.lineno, text[node.lineno - 1].strip()
 
 
-def main() -> int:
+def main(argv) -> int:
+    # the statements of the files as the run loads them: a file edited during the run is not read again
+    listed = {path: sorted(set(statements(path))) for path in sorted(PACKAGE.glob("*.py"))}
+    seeded = any(arg.split("=", 1)[0] == "--hypothesis-seed" for arg in argv)
     retrace = _Retrace()
     sys.settrace(_global)
     try:
-        # a fixed hypothesis seed draws the same examples, so the list repeats from run to run
-        code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", "--hypothesis-seed=0",
-                            str(ROOT / "tests")], plugins=[retrace])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                            *([] if seeded else ["--hypothesis-seed=0"]), *argv, str(ROOT / "tests")], plugins=[retrace])
     finally:
         sys.settrace(None)
     ran = executed()
     missed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, stmts in listed.items():
         hit = ran.get(path.resolve(), set())
-        for line, text in sorted(set(statements(path))):
+        for line, text in stmts:
             if line not in hit:
                 print(f"{path.relative_to(ROOT)}:{line}: {text}")
                 missed += 1
@@ -113,4 +117,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
