@@ -626,7 +626,7 @@ def test_the_deterministic_run_hashes_silent_stretches_only(quad, counted):
     # configuration a stretch starts from, and one per silent step
     assert accepts(quad, "aabbccdda").verdict == REJECTED
     assert counted["hash"] == 5
-    counted.update(apply=0, defined=0, taken=0, hash=0, eq=0)
+    counted.update(apply=0, defined=0, taken=0, hash=0)
     assert accepts(quad, "aabbccddabcd").verdict == ACCEPTED
     assert counted["hash"] == 7
 
