@@ -11,8 +11,8 @@ import importlib
 
 _EXPORTS = {
     "memory_tree": (
-        "EPSILON", "STAY", "UNDEFINED", "MemoryTree", "StackOp", "apply", "apply_word",
-        "down", "empty_tree", "pop", "push", "up", "validate",
+        "EPSILON", "STAY", "UNDEFINED", "MemoryTree", "StackOp", "apply", "down",
+        "empty_tree", "pop", "push", "up",
     ),
     "machine": (
         "ACCEPTED", "CAP_EXCEEDED", "REJECTED", "AcceptResult", "Computation", "Edge",

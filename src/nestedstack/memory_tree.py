@@ -2,8 +2,8 @@
 
 A memory tree is a finite rooted tree with labeled edges, vertices numbered
 in creation order, and one distinguished vertex on the path from the root to
-the latest vertex.  The creation order is always a depth-first order of the
-tree; this is an invariant that `validate` checks rather than assumes.
+the latest vertex.  The creation order is a depth-first order of the tree:
+the operations keep it so, but the tuple constructor does not check it.
 
 Stack operations are partial injective maps on memory trees.  Applying an
 operation outside its domain yields the UNDEFINED sentinel, not an
@@ -12,8 +12,7 @@ exception: partiality here is semantics, not an error condition.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 # The root has no inedge; its "current memory symbol" is the empty word.
 # Real edges are never labeled EPSILON.
@@ -117,57 +116,24 @@ def _path(top, bottom):
     return path
 
 
-class _Column(Sequence):
-    """Read-only view of one per-vertex field in creation order.  Its
-    length is O(1); the items are collected into a tuple on first use."""
-
-    __slots__ = ("_latest", "_field", "_items")
-
-    def __init__(self, latest, field):
-        self._latest = latest
-        self._field = field
-        self._items = None
-
-    def __len__(self):
-        return self._latest[_INDEX] + 1
-
-    def _tuple(self):
-        if self._items is None:
-            items = []
-            node, field = self._latest, self._field
-            while node is not None:
-                items.append(node[field])
-                node = node[_PREV]
-            items.reverse()
-            self._items = tuple(items)
-        return self._items
-
-    def __getitem__(self, i):
-        return self._tuple()[i]
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __eq__(self, other):
-        if isinstance(other, _Column):
-            other = other._tuple()
-        return self._tuple() == other
-
-    def __hash__(self):
-        return hash(self._tuple())
-
-    def __repr__(self):
-        return repr(self._tuple())
+def _column(latest, field):
+    """One per-vertex field, in creation order, of the tree whose latest node is `latest`."""
+    items = []
+    while latest is not None:
+        items.append(latest[field])
+        latest = latest[_PREV]
+    return tuple(reversed(items))
 
 
 class MemoryTree:
     """Rooted labeled tree in creation order with a distinguished vertex.
 
     `parents[i]` is the parent of vertex i (-1 for the root), `labels[i]`
-    the label of its inedge (EPSILON for the root).  Vertex len-1 is the
-    latest.  Instances are immutable; operations return fresh trees.  The
-    public attributes are read-only properties and `__slots__` admits no
-    others; the private slots are written once, in `_tree`, by plain stores.
+    the label of its inedge (EPSILON for the root); each read is O(size).
+    Vertex len-1 is the latest.  Instances are immutable; operations return
+    fresh trees.  The public attributes are read-only properties and
+    `__slots__` admits no others; the private slots are written once, in
+    `_tree`, by plain stores.
 
     Internally a tree is the latest vertex node, the distinguished vertex
     node, and the spine: a linked list of the vertices from the child of
@@ -192,7 +158,7 @@ class MemoryTree:
         return _tree(prev, node, _path(node, prev), distinguished)
 
     def __reduce__(self):
-        return MemoryTree, (tuple(self.parents), tuple(self.labels), self._distinguished)
+        return MemoryTree, (self.parents, self.labels, self._distinguished)
 
     def __hash__(self):
         return hash((self._latest[_HASH], self._distinguished))
@@ -213,8 +179,8 @@ class MemoryTree:
 
     def __repr__(self):
         return (
-            f"MemoryTree(parents={tuple(self.parents)!r}, "
-            f"labels={tuple(self.labels)!r}, distinguished={self._distinguished!r})"
+            f"MemoryTree(parents={self.parents!r}, "
+            f"labels={self.labels!r}, distinguished={self._distinguished!r})"
         )
 
     @property
@@ -222,12 +188,12 @@ class MemoryTree:
         return self._distinguished
 
     @property
-    def parents(self) -> Sequence[int]:
-        return _Column(self._latest, _PARENT_INDEX)
+    def parents(self) -> Tuple[int, ...]:
+        return _column(self._latest, _PARENT_INDEX)
 
     @property
-    def labels(self) -> Sequence[str]:
-        return _Column(self._latest, _LABEL)
+    def labels(self) -> Tuple[str, ...]:
+        return _column(self._latest, _LABEL)
 
     def __len__(self):
         return self._latest[_INDEX] + 1
@@ -240,16 +206,6 @@ class MemoryTree:
     def current_symbol(self) -> str:
         """Label of the inedge to the distinguished vertex; EPSILON at the root."""
         return self._node[_LABEL]
-
-    def spine(self) -> List[int]:
-        """Vertices on the path from the root to the latest vertex."""
-        path = []
-        node = self._latest
-        while node is not None:
-            path.append(node[_INDEX])
-            node = node[_PARENT]
-        path.reverse()
-        return path
 
     def branch_labels(self) -> Optional[Tuple[str, ...]]:
         """Edge labels root-to-leaf when the tree is a single branch, else None."""
@@ -314,9 +270,8 @@ def apply(op: StackOp, tree: MemoryTree):
     if node[_LABEL] != symbol:
         return UNDEFINED
     if kind == "down":
+        # down's symbol is never EPSILON, so the label test above already rejected the root
         parent = node[_PARENT]
-        if parent is None:
-            return UNDEFINED
         return _tree(tree._latest, parent, (node, tree._spine), parent[_INDEX])
     if kind == "up":
         # the head of the spine is the latest child; none means a leaf
@@ -329,15 +284,6 @@ def apply(op: StackOp, tree: MemoryTree):
     if node is not tree._latest or parent is None:
         return UNDEFINED
     return _tree(node[_PREV], parent, node[_SAVED], parent[_INDEX])
-
-
-def apply_word(ops: Iterable[StackOp], tree: MemoryTree):
-    """Left-to-right composition; UNDEFINED as soon as any step is undefined."""
-    for op in ops:
-        tree = apply(op, tree)
-        if tree is UNDEFINED:
-            return UNDEFINED
-    return tree
 
 
 def defined_on(op: StackOp, symbol: str, at_leaf: bool) -> bool:
@@ -355,40 +301,3 @@ def defined_on(op: StackOp, symbol: str, at_leaf: bool) -> bool:
     if op.kind == "up":
         return symbol == op.symbol and not at_leaf
     return symbol == op.symbol and at_leaf  # pop
-
-
-def validate(tree: MemoryTree) -> List[str]:
-    """All invariant violations of `tree`; an empty list means it is valid."""
-    out = []
-    parents, labels = tuple(tree.parents), tuple(tree.labels)
-    n = len(parents)
-    if parents[0] != -1:
-        out.append("root must have parent -1")
-    if labels[0] != EPSILON:
-        out.append("root must have an empty inedge label")
-    for i in range(1, n):
-        if not 0 <= parents[i] < i:
-            out.append(f"vertex {i}: parent must be an earlier vertex")
-        if labels[i] == EPSILON:
-            out.append(f"vertex {i}: real edges need a non-empty label")
-    if out:
-        return out
-    # creation order must be a depth-first order: visiting children in
-    # creation order must enumerate the vertices as 0, 1, ..., n-1
-    children = [[] for _ in range(n)]
-    for i in range(1, n):
-        children[parents[i]].append(i)
-    order = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    if order != list(range(n)):
-        out.append("creation order is not a depth-first order of the tree")
-    if not 0 <= tree.distinguished < n:
-        out.append("distinguished vertex out of range")
-    elif tree.distinguished not in tree.spine():
-        out.append("distinguished vertex off the root-to-latest path")
-    return out
-

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import tuple_tree
 from nestedstack.machine import Edge, Machine, parse_machine
 from nestedstack.memory_tree import UNDEFINED, apply, down, empty_tree, pop, push, up
 
@@ -74,6 +75,20 @@ def free_group_wp_machine(rank: int = 2) -> Machine:
         memory_alphabet=frozenset(symbols),
         edges=tuple(edges),
     )
+
+
+def apply_word(ops, tree):
+    """Left-to-right composition; UNDEFINED as soon as any step is undefined."""
+    for op in ops:
+        tree = apply(op, tree)
+        if tree is UNDEFINED:
+            return UNDEFINED
+    return tree
+
+
+def validate(tree):
+    """Invariant violations of a memory tree, by the tuple oracle's check."""
+    return tuple_tree.validate(tuple_tree.TupleTree(tree.parents, tree.labels, tree.distinguished))
 
 
 def tree_ops(alphabet=("x", "y")):

@@ -38,7 +38,6 @@ from nestedstack.memory_tree import (
     pop,
     push,
     up,
-    validate,
 )
 from nestedstack.pda_quotient import (
     check_tree,
@@ -47,7 +46,7 @@ from nestedstack.pda_quotient import (
     quotient_distortion,
 )
 
-from conftest import FIXTURES, random_trees
+from conftest import FIXTURES, random_trees, validate
 
 
 def report(number: int, description: str, ok: bool):

@@ -77,6 +77,23 @@ def test_enumerate_sorted_and_json(capsys):
     assert ["a", "b", "c", "d"] in payload["words"]
 
 
+def test_words_of_multi_character_letters(capsys, tmp_path):
+    machine = tmp_path / "long_letters.nsa"
+    machine.write_text(
+        "states: 1 2 3\nstart: 1\nfinal: 1 3\ninput: ab cd\nmemory: x\n"
+        "edge: 1 2 push x ab\nedge: 2 2 push x ab\nedge: 2 3 pop x cd\nedge: 3 3 pop x cd\n"
+    )
+    code, out, _ = run(capsys, "enumerate", str(machine), "--max-len", "4")
+    assert code == 0 and out.splitlines() == ["ε", "ab cd", "ab ab cd cd"]
+    code, out, _ = run(capsys, "enumerate", str(machine), "--max-len", "4", "--json")
+    assert json.loads(out)["words"] == [[], ["ab", "cd"], ["ab", "ab", "cd", "cd"]]
+    code, out, _ = run(capsys, "accept", str(machine), "--word", "ab cd")
+    assert code == 0 and out.strip() == "ACCEPTED"
+    code, out, _ = run(capsys, "accept", str(machine), "--word", "ab ab cd", "--json")
+    assert code == 1 and json.loads(out)["verdict"] == "REJECTED"
+    assert json.loads(out)["word"] == ["ab", "ab", "cd"]
+
+
 def test_parse_error_exit_code_and_diagnostic(capsys, tmp_path):
     bad = tmp_path / "broken.nsa"
     bad.write_text("states: 1\nstart: 1\nfinal: 1\ninput: a\nmemory: x\nedge: 1 1 push z a\n")

@@ -18,9 +18,9 @@ from nestedstack.config_graph import (
 )
 from nestedstack.graphs import fundamental_cycle
 from nestedstack.machine import Edge, Machine, NondeterminismDetected, ResourceCaps, parse_machine
-from nestedstack.memory_tree import EPSILON, MemoryTree, StackOp, apply_word, empty_tree, push
+from nestedstack.memory_tree import EPSILON, MemoryTree, StackOp, empty_tree, push
 
-from conftest import free_group_wp_machine
+from conftest import apply_word, free_group_wp_machine
 from nestedstack.group_geometry import make_oracle
 from conftest import FIXTURES
 

@@ -24,7 +24,6 @@ from nestedstack.machine import (
 from nestedstack.memory_tree import (
     EPSILON,
     STAY,
-    apply_word,
     down,
     empty_tree,
     pop,
@@ -32,7 +31,7 @@ from nestedstack.memory_tree import (
     up,
 )
 
-from conftest import load_machine
+from conftest import apply_word, load_machine
 
 
 def small_machine(edges, states="1 2", start="1", final="1", inputs="a b", memory="x y"):

@@ -8,16 +8,14 @@ from nestedstack.memory_tree import (
     MemoryTree,
     StackOp,
     apply,
-    apply_word,
     down,
     empty_tree,
     pop,
     push,
     up,
-    validate,
 )
 
-from conftest import random_trees
+from conftest import apply_word, random_trees, validate
 
 
 def test_empty_tree():
@@ -33,6 +31,8 @@ def test_ops_undefined_on_empty_tree():
     assert apply(down("x"), t) is UNDEFINED
     assert apply(up(), t) is UNDEFINED  # the root of the empty tree is a leaf
     assert apply_word([pop("x")], t) is UNDEFINED  # the root is never deleted
+    # callers (the perfbench tracer among them) count defined results by truth value
+    assert bool(UNDEFINED) is False and repr(UNDEFINED) == "UNDEFINED"
 
 
 def test_stay_is_identity():
@@ -88,13 +88,17 @@ def test_up_moves_to_latest_child():
     assert t2.current_symbol == "z"
 
 
-def test_op_constructors_reject_bad_symbols():
+@pytest.mark.parametrize("make", [
+    lambda: StackOp("push", EPSILON),
+    lambda: StackOp("stay", "x"),
+    lambda: StackOp("sideways", "x"),
+    lambda: MemoryTree((), ()),  # no root
+    lambda: MemoryTree((-1, 0), (EPSILON,)),  # one label short
+    lambda: MemoryTree((-1,), (EPSILON, "x")),  # one parent short
+], ids=["push_eps", "stay_symbol", "unknown_kind", "no_vertices", "labels_short", "parents_short"])
+def test_constructors_reject_bad_arguments(make):
     with pytest.raises(ValueError):
-        StackOp("push", EPSILON)
-    with pytest.raises(ValueError):
-        StackOp("stay", "x")
-    with pytest.raises(ValueError):
-        StackOp("sideways", "x")
+        make()
 
 
 def test_validate_flags_distinguished_off_spine():

@@ -2,24 +2,25 @@
 tuple-based implementation (`tuple_tree`), which is kept as an oracle."""
 
 import gc
+import pickle
 import random
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
 import tuple_tree as old
-from conftest import random_trees, tree_ops
+from conftest import apply_word, random_trees, tree_ops
 from nestedstack.memory_tree import (
     EPSILON,
     UNDEFINED,
     MemoryTree,
     apply,
-    apply_word,
     down,
     empty_tree,
     pop,
     push,
     up,
-    validate,
 )
 
 OPS = tree_ops()
@@ -27,16 +28,14 @@ OPS = tree_ops()
 
 def assert_same(new, ref):
     """`new` (persistent) and `ref` (tuple oracle) are the same tree."""
-    assert tuple(new.parents) == ref.parents
-    assert tuple(new.labels) == ref.labels
+    assert new.parents == ref.parents
+    assert new.labels == ref.labels
     assert new.distinguished == ref.distinguished
     assert len(new) == len(new.parents) == len(ref.parents)
     assert new.edge_count == len(ref.parents) - 1
     assert new.current_symbol == ref.labels[ref.distinguished]
-    assert new.spine() == ref.spine()
     assert new.branch_labels() == ref.branch_labels()
     assert str(new) == str(ref)
-    assert validate(new) == old.validate(ref)
 
 
 def rebuilt(ref):
@@ -132,13 +131,41 @@ def raw_trees(draw):
 
 @given(raw_trees())
 @settings(max_examples=300, deadline=None)
-def test_tuple_constructor_keeps_invalid_trees_for_validate(raw):
+def test_tuple_constructor_keeps_invalid_trees(raw):
     parents, labels, d = raw
     t = MemoryTree(parents, labels, d)
-    assert tuple(t.parents) == parents and tuple(t.labels) == labels
+    assert t.parents == parents and t.labels == labels
     assert t.distinguished == d
-    assert validate(t) == old.validate(old.TupleTree(parents, labels, d))
     assert t == MemoryTree(parents, labels, d)
+
+
+def long_branch():
+    t = empty_tree()
+    for _ in range(10**4):
+        t = apply(push("x"), t)
+    return [apply(down("x"), t)]
+
+
+def bushy_trees():
+    trees = [t for t in random_trees(300, seed=3) if t.branch_labels() is None]
+    assert len(trees) > 100
+    return trees
+
+
+def invalid_trees():
+    return [
+        MemoryTree((-1, 0, 0, 1), (EPSILON, "x", "y", "z"), 3),  # not a depth-first order
+        MemoryTree((-1, 0, 0), (EPSILON, "x", "y"), 1),  # distinguished off the spine
+        MemoryTree((5, -2), ("x", EPSILON), 7),  # no root, bad parent, out of range
+    ]
+
+
+@pytest.mark.parametrize("trees", [long_branch, bushy_trees, invalid_trees])
+def test_pickle_round_trip(trees):
+    for t in trees():
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(t, protocol))
+            assert copy == t and hash(copy) == hash(t) and repr(copy) == repr(t)
 
 
 def test_million_edge_branch_builds_and_frees():
