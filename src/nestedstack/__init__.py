@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "hom": ("Homomorphism", "parse_homomorphism", "preimage", "publish_reserved_names"),
     "config_graph": (
-        "BuildHorizon", "ConfigGraph", "Configuration", "UNBOUNDED_WITHIN_HORIZON", "build",
-        "check_degrees", "export_dot", "lift_path", "max_eps_run", "project", "vertex_name",
+        "BuildHorizon", "ConfigGraph", "Configuration", "build", "check_degrees", "export_dot",
+        "lift_path", "max_eps_run", "project", "vertex_name",
     ),
     "pda_quotient": (
         "QuotientGraph", "check_tree", "is_pushdown", "nonerasing_classes", "quotient",

@@ -15,15 +15,12 @@ from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .graphs import bfs_distances, weighted_path_bound
 from .machine import Machine, ResourceCaps, _both_apply, _gc_paused, _run, successors
-from .memory_tree import _INDEX, EPSILON, MemoryTree, empty_tree
+from .memory_tree import EPSILON, MemoryTree, empty_tree
 
 
 class Configuration(NamedTuple):
     state: str
     tree: MemoryTree
-
-    def __str__(self):
-        return vertex_name(self)
 
 
 def vertex_name(config: Configuration, style: int = 0) -> str:
@@ -128,8 +125,9 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
             truncated = True
             continue
         out = []
+        room = max_tree_edges - tree.edge_count  # a push needs one more edge, any other step none
         for e, t2 in successors(machine, state, tree, None):
-            if t2._latest[_INDEX] > max_tree_edges:
+            if room < (e.op.kind == "push"):
                 truncated = True
                 continue
             nxt = new(Configuration, (e.dst, t2))  # NamedTuple.__new__ is a Python call
@@ -178,24 +176,11 @@ def check_degrees(cg: ConfigGraph) -> Optional[DegreeViolation]:
     return None
 
 
-class _UnboundedWithinHorizon:
-    def __repr__(self):
-        return "UNBOUNDED_WITHIN_HORIZON"
-
-
-UNBOUNDED_WITHIN_HORIZON = _UnboundedWithinHorizon()
-
-
-def max_eps_run(cg: ConfigGraph):
+def max_eps_run(cg: ConfigGraph) -> Optional[int]:
     """Longest run of consecutive silent edges in the explored graph, or
-    UNBOUNDED_WITHIN_HORIZON when the explored silent subgraph has a cycle."""
-    eps_edges = [
-        (src, dst, 1, (src, dst)) for src, dst, label in cg.edges if label == EPSILON
-    ]
-    bound, cycle = weighted_path_bound(eps_edges)
-    if cycle is not None:
-        return UNBOUNDED_WITHIN_HORIZON
-    return bound
+    None when the explored silent subgraph has a cycle."""
+    eps_edges = [(src, dst, 1, (src, dst)) for src, dst, label in cg.edges if label == EPSILON]
+    return weighted_path_bound(eps_edges)[0]  # every silent edge weighs 1, so a cycle gives no bound
 
 
 class ProjectionViolation(NamedTuple):

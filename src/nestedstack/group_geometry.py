@@ -337,20 +337,11 @@ def qi_check(
             d_image = target.distance(y1, y2)
             lower = d / k - k
             upper = k * d + k
+            pair = f"d({''.join(x1) or 'ε'},{''.join(x2) or 'ε'})={d} but image distance {d_image}"
             if d_image < lower:
-                violations.append(
-                    QIViolation(
-                        "lower",
-                        f"d({''.join(x1) or 'ε'},{''.join(x2) or 'ε'})={d} but image distance {d_image} < {lower}",
-                    )
-                )
+                violations.append(QIViolation("lower", f"{pair} < {lower}"))
             if d_image > upper:
-                violations.append(
-                    QIViolation(
-                        "upper",
-                        f"d({''.join(x1) or 'ε'},{''.join(x2) or 'ε'})={d} but image distance {d_image} > {upper}",
-                    )
-                )
+                violations.append(QIViolation("upper", f"{pair} > {upper}"))
     if density_window is not None:
         window = ball(target, (), density_window)
         ids = window.ids

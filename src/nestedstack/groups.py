@@ -4,7 +4,7 @@ Cayley-graph probes on them live in `group_geometry`."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphs import bfs_distances
 
@@ -25,19 +25,13 @@ class LineError(ValueError):
 class GroupOracle:
     """Canonical forms and letter multiplication for a finitely generated
     group; every derived notion (word problem, metric, Cayley graph) is
-    built from `mult` and `norm`."""
+    built from `mult(element, letter)` and `norm(element)`, the word-metric
+    distance from the identity, which each subclass defines."""
 
     family: str = "?"
     generators: Tuple[str, ...] = ()
     identity = None
     _inverse: Dict[str, str]  # each generator letter's formal inverse letter
-
-    def mult(self, element, letter: str):
-        raise NotImplementedError
-
-    def norm(self, element) -> int:
-        """Word-metric distance from the identity."""
-        raise NotImplementedError
 
     def inverse_letter(self, letter: str) -> str:
         return self._inverse[letter]
@@ -65,6 +59,8 @@ class GroupOracle:
 
 
 def _paired_letters(rank: int) -> Tuple[Tuple[str, ...], Dict[str, str]]:
+    if rank < 0:
+        raise ValueError("rank must be non-negative")
     if rank > len(_LETTERS):
         raise ValueError(f"rank {rank} exceeds the {len(_LETTERS)} naming letters")
     gens: List[str] = []
@@ -82,8 +78,6 @@ class FreeGroup(GroupOracle):
     word, generators a..z with uppercase formal inverses."""
 
     def __init__(self, rank: int):
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
         self.rank = rank
         self.family = f"free({rank})"
         self.generators, self._inverse = _paired_letters(rank)
@@ -106,8 +100,6 @@ class FreeAbelianGroup(GroupOracle):
     vector."""
 
     def __init__(self, rank: int):
-        if rank < 0:
-            raise ValueError("rank must be non-negative")
         self.rank = rank
         self.family = f"abelian({rank})"
         self.generators, self._inverse = _paired_letters(rank)
@@ -255,9 +247,9 @@ class DirectProduct(GroupOracle):
 
 
 def parse_finite_table(text: str) -> FiniteGroup:
-    """Table file: `elements:`, `identity:`, `generators: a=g b=h ...`, and
-    one `mul: x y z` line (x*y = z) per pair."""
-    elements: List[str] = []
+    """Table file: `elements:` and `identity:` once each, `generators: a=g
+    b=h ...` with each letter once, and one `mul: x y z` line (x*y = z) per pair."""
+    elements: Optional[List[str]] = None
     identity = None
     generator_map: Dict[str, str] = {}
     table: Dict[Tuple[str, str], str] = {}
@@ -268,6 +260,8 @@ def parse_finite_table(text: str) -> FiniteGroup:
         key, _, rest = line.partition(":")
         key = key.strip()
         tokens = rest.split()
+        if (key == "elements" and elements is not None) or (key == "identity" and identity is not None):
+            raise LineError(line_no, f"duplicate section {key!r}")
         if key == "elements":
             elements = tokens
         elif key == "identity":
@@ -279,11 +273,16 @@ def parse_finite_table(text: str) -> FiniteGroup:
                 if "=" not in tok:
                     raise LineError(line_no, "generators are LETTER=ELEMENT")
                 letter, _, elem = tok.partition("=")
+                if letter in generator_map:
+                    raise LineError(line_no, f"duplicate generator {letter!r}")
                 generator_map[letter] = elem
         elif key == "mul":
             if len(tokens) != 3:
                 raise LineError(line_no, "mul takes three elements")
-            table[(tokens[0], tokens[1])] = tokens[2]
+            x, y, z = tokens
+            if (x, y) in table:
+                raise LineError(line_no, f"duplicate product {x} * {y}")
+            table[(x, y)] = z
         else:
             raise LineError(line_no, f"unknown section {key!r}")
     if identity is None or not elements or not generator_map:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .machine import Edge, Machine, MachineParseError
+from .machine import Edge, Machine, MachineParseError, _check_token
 from .memory_tree import EPSILON
 
 Word = Tuple[str, ...]
@@ -78,10 +78,7 @@ def parse_homomorphism(text: str) -> Homomorphism:
         if not image:
             raise MachineParseError(line_no, f"letter {src[0]!r} maps to the empty word")
         for tok in src + list(image):
-            if tok.startswith("__"):
-                raise MachineParseError(
-                    line_no, f"letter {tok!r} uses the reserved '__' namespace"
-                )
+            _check_token(tok, line_no, "letter")  # `eps` would read back as a silent edge
         images[src[0]] = image
     if not images:
         raise MachineParseError(0, "no map lines found")

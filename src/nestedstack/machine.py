@@ -90,8 +90,8 @@ class Machine(_MachineFields):
     def step_table(self) -> Dict[str, Dict[Optional[str], Dict[Optional[str], Tuple[Tuple[Edge, ...], ...]]]]:
         """Outedges by state and input letter, in machine edge order: row[a]
         holds the edges reading `a` and the silent ones, row[EPSILON] the
-        silent ones alone and row[None] all of them.  Each is split by what
-        decides an operation's domain (see `defined_on`): row[a][s] is a pair,
+        silent ones alone and row[None] all of them.  Each is split by the two
+        observations that decide an operation's domain: row[a][s] is a pair,
         the edges defined when the current symbol is s (EPSILON at the root)
         and the distinguished vertex is not the latest one, then when it is.
         row[a][None], the push and stay edges, serves symbols no edge names."""
@@ -258,12 +258,7 @@ def format_machine(machine: Machine) -> str:
         "memory: " + " ".join(sorted(machine.memory_alphabet)),
     ]
     for e in machine.edges:
-        op = e.op
-        if op.kind == "stay":
-            op_part = "stay"
-        else:
-            op_part = f"{op.kind} {op.symbol or 'eps'}"
-        lines.append(f"edge: {e.src} {e.dst} {op_part} {e.letter or 'eps'}")
+        lines.append(f"edge: {e.src} {e.dst} {e.op} {e.letter or 'eps'}")
     return "\n".join(lines) + "\n"
 
 

@@ -279,25 +279,9 @@ def apply(op: StackOp, tree: MemoryTree):
             return UNDEFINED
         child, rest = tree._spine
         return _tree(tree._latest, child, rest, child[_INDEX])
-    # pop: only the latest vertex is ever a deletable leaf (and never the root)
-    parent = node[_PARENT]
-    if node is not tree._latest or parent is None:
+    # pop: only the latest vertex is a deletable leaf, and its real symbol already rejected the root
+    if node is not tree._latest:
         return UNDEFINED
+    parent = node[_PARENT]
     return _tree(node[_PREV], parent, node[_SAVED], parent[_INDEX])
 
-
-def defined_on(op: StackOp, symbol: str, at_leaf: bool) -> bool:
-    """Whether `op` is defined on a tree whose distinguished vertex has the
-    given current symbol and leaf status.
-
-    These two observations determine each generator's domain exactly
-    (symbol == EPSILON if and only if the distinguished vertex is the root),
-    which is what makes the determinism check decidable symbolically.
-    """
-    if op.kind in ("push", "stay"):
-        return True
-    if op.kind == "down":
-        return symbol == op.symbol  # a real symbol already rules out the root
-    if op.kind == "up":
-        return symbol == op.symbol and not at_leaf
-    return symbol == op.symbol and at_leaf  # pop

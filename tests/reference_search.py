@@ -10,8 +10,9 @@ What is shared with the package is the contract each search documents:
 breadth-first order, outedges in machine edge order, where each resource
 cap is checked, and the message a run raises when two edges apply.  Trees come back as `(parents, labels,
 distinguished)` triples, so results compare with the package's directly.
-The determinism check compares edges pair by pair, with the package's
-`defined_on` deciding each operation's domain.
+The determinism check compares edges pair by pair, with `defined_on`
+deciding each operation's domain from the two observations that
+`Machine.step_table` files edges under.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 
 from nestedstack.machine import DeterminismConflict, NondeterminismDetected
-from nestedstack.memory_tree import EPSILON, UNDEFINED, defined_on
+from nestedstack.memory_tree import EPSILON, UNDEFINED
 
 import tuple_tree
 from tuple_tree import TupleTree
@@ -197,6 +198,23 @@ def lift_path(machine, word, caps):
         if edge_count(tree) > caps.max_tree_edges:
             return "cap_exceeded", configs, labels, pos, None
     return "ok", configs, labels, pos, None
+
+
+def defined_on(op, symbol, at_leaf):
+    """Whether `op` is defined on a tree whose distinguished vertex has the
+    given current symbol and leaf status.
+
+    These two observations determine each generator's domain exactly
+    (symbol == EPSILON if and only if the distinguished vertex is the root),
+    which is what makes the determinism check decidable symbolically.
+    """
+    if op.kind in ("push", "stay"):
+        return True
+    if op.kind == "down":
+        return symbol == op.symbol  # a real symbol already rules out the root
+    if op.kind == "up":
+        return symbol == op.symbol and not at_leaf
+    return symbol == op.symbol and at_leaf  # pop
 
 
 def check_deterministic(machine):

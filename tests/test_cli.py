@@ -118,6 +118,37 @@ def test_parse_errors_name_the_line_once(capsys, tmp_path, monkeypatch):
     assert (code, out, err) == (2, "", f"{samples}:2: expected 'WORD -> WORD'\n")
 
 
+def test_preimage_rejects_an_eps_letter_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    # `eps` on a written edge would read back as a silent edge
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.hom").write_text("map: eps -> a\n")
+    code, out, err = run(capsys, "preimage", QUAD, "--hom", "h.hom", "-o", "out.nsa")
+    assert (code, out, err) == (2, "", "h.hom:1: 'eps' cannot be declared as a letter\n")
+    assert not (tmp_path / "out.nsa").exists()
+
+
+Z2_TABLE = "elements: e t\nidentity: e\ngenerators: a=t\nmul: e e e\nmul: e t t\nmul: t e t\nmul: t t e\n"
+
+
+@pytest.mark.parametrize("text,line_no,message", [
+    (Z2_TABLE.replace("mul: t t e\n", "mul: t t t\nmul: t t e\n"), 8, "duplicate product t * t"),
+    (Z2_TABLE + "mul: t t e\n", 8, "duplicate product t * t"),
+    (Z2_TABLE.replace("a=t", "a=t a=e"), 3, "duplicate generator 'a'"),
+    (Z2_TABLE + "generators: a=t\n", 8, "duplicate generator 'a'"),
+    (Z2_TABLE + "elements: e t\n", 8, "duplicate section 'elements'"),
+    (Z2_TABLE.replace("identity: e\n", "identity: e\nidentity: t\n"), 3, "duplicate section 'identity'"),
+], ids=["mul pair", "mul line repeated", "generator letter", "generator on a second line", "elements", "identity"])
+def test_group_table_rejects_repeated_lines(capsys, tmp_path, text, line_no, message):
+    table = tmp_path / "z2.grp"
+    table.write_text(Z2_TABLE)
+    code, _, err = run(capsys, "group", "ball", "--group", f"finite {table}", "--radius", "1")
+    assert (code, err) == (0, "")
+    table.write_text(text)
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "group", "ball", "--group", f"finite {table}", "--radius", "1", *json_flag)
+        assert (code, out, err) == (2, "", f"{table}:{line_no}: {message}\n")
+
+
 def test_group_table_errors_name_the_file(capsys, tmp_path):
     table = tmp_path / "bad.grp"
     table.write_text("elements: e a\nidentity: e\ngenerators: a=a\nmul: e e\n")
@@ -246,6 +277,20 @@ def test_pda_quotient_exit_codes(capsys, tmp_path):
     code, _, err = run(capsys, "pda", "quotient", "--machine", QUAD, "--horizon", "4")
     assert code == 2
     assert "not a pushdown" in err
+
+
+def test_pda_quotient_reports_a_cycle(capsys, monkeypatch):
+    # no pushdown machine gets here (`check_tree`'s docstring proves the
+    # quotient a forest), so a stub stands in for a broken check
+    import nestedstack.pda_quotient as pda_quotient
+
+    monkeypatch.setattr(pda_quotient, "check_tree", lambda q: [0, 1, 2])
+    code, out, _ = run(capsys, "pda", "quotient", "--machine", ANBN, "--horizon", "4")
+    assert code == 1
+    assert "verdict: CYCLE (horizon-relative)" in out.splitlines()
+    assert out.splitlines()[-1] == "cycle through classes: 0 - 1 - 2"
+    code, out, _ = run(capsys, "pda", "quotient", "--machine", ANBN, "--horizon", "4", "--json")
+    assert code == 1 and json.loads(out)["verdict"] == "CYCLE"
 
 
 def test_pda_quotient_writes_dot(capsys, tmp_path):
@@ -543,12 +588,28 @@ def test_closed_stdout_keeps_the_exit_code():
     assert err == b""
 
 
-def test_deeply_nested_group_spec_exits_usage(capsys):
-    spec = "product free 0 " * 1000 + "free 0"
-    code, out, err = run(capsys, "group", "ball", "--group", spec, "--radius", "1")
-    assert code == 2 and out == ""
-    assert_one_line_error(err)
-    assert "nested too deeply" in err
+@pytest.mark.parametrize("spec,message", [
+    ("product free 0 " * 1000 + "free 0", "group spec nested too deeply"),
+    ("free -1", "rank must be non-negative"),
+    ("abelian -1", "rank must be non-negative"),
+    ("free 27", "rank 27 exceeds the 26 naming letters"),
+    ("product free 26 free 1", "too many generators to relabel"),
+    ("finite", "finite needs a table file"),
+], ids=["deep nesting", "free rank", "abelian rank", "too many letters", "too many product letters", "bare finite"])
+def test_bad_group_spec_exits_usage(capsys, spec, message):
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "group", "ball", "--group", spec, "--radius", "1", *json_flag)
+        assert (code, out) == (2, "")
+        assert_one_line_error(err)
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("prefix", ["group: ", "group "])
+def test_group_spec_prefix_is_ignored(capsys, prefix):
+    for json_flag in ([], ["--json"]):
+        expected = run(capsys, "group", "ball", "--group", "free 1", "--radius", "1", *json_flag)
+        assert expected[0] == 0
+        assert run(capsys, "group", "ball", "--group", prefix + "free 1", "--radius", "1", *json_flag) == expected
 
 
 @pytest.mark.parametrize("k,expected", [("inf", 2), ("nan", 2), ("-inf", 2), ("1e308", 0)])

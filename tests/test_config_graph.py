@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nestedstack.config_graph import (
     BuildHorizon,
     Configuration,
-    UNBOUNDED_WITHIN_HORIZON,
     build,
     check_degrees,
     export_dot,
@@ -191,7 +190,7 @@ def test_max_eps_run_quad(quad):
 
 def test_max_eps_run_unbounded_on_stay_loop():
     cg = build(stay_loop_machine(), BuildHorizon())
-    assert max_eps_run(cg) is UNBOUNDED_WITHIN_HORIZON
+    assert max_eps_run(cg) is None
 
 
 def test_max_eps_run_zero_without_silent_edges(anbn):

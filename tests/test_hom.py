@@ -67,6 +67,8 @@ HOM_PARSE_ERRORS = [
     ("map: a -> b\n# again\nmap: a -> c\n", 3, "duplicate image for 'a'"),
     ("map: a ->\n", 1, "letter 'a' maps to the empty word"),
     ("map: a -> b __c\n", 1, "letter '__c' uses the reserved '__' namespace"),
+    ("map: eps -> a\n", 1, "'eps' cannot be declared as a letter"),
+    ("map: a -> b\nmap: c -> a eps\n", 2, "'eps' cannot be declared as a letter"),
     ("# no maps\n\n", 0, "no map lines found"),
 ]
 

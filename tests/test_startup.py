@@ -17,6 +17,7 @@ import pytest
 
 import nestedstack
 from nestedstack.cli import COMMANDS
+from nestedstack.memory_tree import MemoryTree
 
 from test_golden import CASES, GOLDEN, ROOT, _exit_codes
 
@@ -58,8 +59,8 @@ PUBLIC = {
                "MachineParseError ResourceCaps accepts check_deterministic check_limited_erasing "
                "enumerate_accepted format_machine parse_machine run_trace successors",
     "hom": "Homomorphism parse_homomorphism preimage publish_reserved_names",
-    "config_graph": "BuildHorizon ConfigGraph Configuration UNBOUNDED_WITHIN_HORIZON build check_degrees "
-                    "export_dot lift_path max_eps_run project vertex_name",
+    "config_graph": "BuildHorizon ConfigGraph Configuration build check_degrees export_dot lift_path "
+                    "max_eps_run project vertex_name",
     "pda_quotient": "QuotientGraph check_tree is_pushdown nonerasing_classes quotient quotient_distortion",
     "groups": "GroupOracle make_oracle",
     "group_geometry": "CayleyWindow ball ends_probe min_separator narrowness_probe qi_check",
@@ -176,18 +177,22 @@ NODE_LAYOUT = {"_EMPTY", "_HASH", "_LABEL", "_PARENT", "_PREV", "_SAVED", "_tree
 
 
 def test_only_machine_steps_memory_tree_nodes():
-    # `machine` walks every run, so it alone knows the node layout and reads
-    # `Machine.step_table`; `config_graph` reads only the edge count, for
-    # `build`'s tree cap
-    private, table_readers = {}, set()
+    # `machine` walks every run, so it alone knows the node layout, reads a
+    # tree's private slots and reads `Machine.step_table`; every other module,
+    # `config_graph` included, uses only a tree's public surface (`build`'s
+    # tree cap reads `edge_count`)
+    private, slot_readers, table_readers = {}, set(), set()
     for path in sorted((ROOT / "src" / "nestedstack").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module in ("memory_tree", "nestedstack.memory_tree"):
                 private.setdefault(path.name, set()).update(a.name for a in node.names if a.name.startswith("_"))
             elif isinstance(node, ast.Attribute) and node.attr == "step_table":
                 table_readers.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr in MemoryTree.__slots__:
+                slot_readers.add(path.name)
     assert {name for name, names in private.items() if names & NODE_LAYOUT} == {"machine.py"}
-    assert private.get("config_graph.py", set()) <= {"_INDEX"}
+    assert "config_graph.py" in private and not private["config_graph.py"]
+    assert slot_readers == {"machine.py", "memory_tree.py"}
     assert table_readers == {"machine.py"}
 
 
@@ -197,6 +202,10 @@ def test_public_names_resolve_to_the_submodule_objects():
         for name in names.split():
             assert getattr(nestedstack, name) is getattr(sub, name), name
     assert set(nestedstack.__all__) == {n for names in PUBLIC.values() for n in names.split()}
+
+
+def test_dir_lists_every_public_name():
+    assert set(nestedstack.__all__) <= set(dir(nestedstack))
 
 
 def test_star_import_binds_every_public_name():
@@ -210,5 +219,5 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         nestedstack.no_such_name
-    for name in ("weighted_path_bound", "apply_word", "validate"):
+    for name in ("weighted_path_bound", "apply_word", "validate", "UNBOUNDED_WITHIN_HORIZON"):
         assert not hasattr(nestedstack, name), name
