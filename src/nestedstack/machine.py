@@ -87,28 +87,30 @@ class Machine(_MachineFields):
         return tuple.__new__(cls, (states, initial, finals, input_alphabet, memory_alphabet, edges))
 
     @cached_property
-    def step_table(self) -> Dict[str, Dict[Optional[str], Dict[Optional[str], Tuple[Tuple[Edge, ...], ...]]]]:
+    def step_table(self) -> Dict[str, Dict[Optional[str], Dict[Optional[str], Tuple[Tuple[tuple, ...], ...]]]]:
         """Outedges by state and input letter, in machine edge order: row[a]
         holds the edges reading `a` and the silent ones, row[EPSILON] the
         silent ones alone and row[None] all of them.  Each is split by the two
         observations that decide an operation's domain: row[a][s] is a pair,
         the edges defined when the current symbol is s (EPSILON at the root)
         and the distinguished vertex is not the latest one, then when it is.
-        row[a][None], the push and stay edges, serves symbols no edge names."""
+        row[a][None], the push and stay edges, serves symbols no edge names.
+        A cell holds one flat step record per edge, `(edge, dst, kind,
+        symbol, letter)`, so a loop reads a step with one tuple unpack."""
         symbols = (*self.memory_alphabet, EPSILON, None)
         everywhere = [(s, leaf) for s in symbols for leaf in (0, 1)]
         table = {q: {a: {s: ([], []) for s in symbols} for a in (EPSILON, None)} for q in self.states}
         for e in self.edges:  # an edge's cells follow from its operation alone
-            row, letter = table[e.src], e.letter
+            src, dst, (kind, symbol), letter = e
+            row, step = table[src], (e, dst, kind, symbol, letter)
             if letter not in row:  # a letter's row starts with the silent edges before its first edge
                 row[letter] = {s: (off[:], at[:]) for s, (off, at) in row[EPSILON].items()}
-            kind, symbol = e.op
             cells = (everywhere if kind in ("push", "stay") else [(symbol, 0), (symbol, 1)] if kind == "down"
                      else [(symbol, kind == "pop")])
             for a, columns in row.items():
                 if letter in (a, EPSILON) or a is None:
                     for s, leaf in cells:
-                        columns[s][leaf].append(e)
+                        columns[s][leaf].append(step)
         return {q: {a: {s: (tuple(off), tuple(at)) for s, (off, at) in columns.items()} for a, columns in row.items()}
                 for q, row in table.items()}
 
@@ -313,7 +315,7 @@ def successors(
     A letter that no outedge reads selects the silent edges alone."""
     row = machine.step_table[state]
     cells = row.get(letter, row[EPSILON])
-    return [(e, apply(e.op, tree)) for e in cells.get(tree._node[_LABEL], cells[None])[tree._spine is None]]
+    return [(e, apply(e.op, tree)) for e, *_ in cells.get(tree._node[_LABEL], cells[None])[tree._spine is None]]
 
 
 def _search(machine: Machine, letters: tuple, goal: Optional[int], caps: ResourceCaps):
@@ -358,8 +360,8 @@ def _search(machine: Machine, letters: tuple, goal: Optional[int], caps: Resourc
             break
         room = max_tree_edges - sizes[latest]  # a push needs one more edge, any other step none
         row = table[state]
-        for e in row.get(letters[tag if counting else len(tag)], row[EPSILON])[labels[node]][spine is None]:
-            kind, symbol = e.op  # the branches of `apply`, whose domain tests the table has made
+        cell = row.get(letters[tag if counting else len(tag)], row[EPSILON])[labels[node]][spine is None]
+        for e, dst, kind, symbol, letter in cell:  # the branches of `apply`, whose domain tests the table has made
             if room < (kind == "push"):
                 pruned = True
                 if counting:
@@ -385,7 +387,7 @@ def _search(machine: Machine, letters: tuple, goal: Optional[int], caps: Resourc
                 node2, spine2 = spine
             else:  # pop
                 latest2, node2, spine2 = prevs[node], parents[node], saved[node]
-            nxt = (e.dst, latest2, node2, tag + advance[e.letter])
+            nxt = (dst, latest2, node2, tag + advance[letter])
             if parent.setdefault(nxt, link := (cfg, e)) is link:  # one hash of nxt, new or not
                 queue.append((nxt, spine2))
     return parent, None, (("max_tree_edges",) if pruned else ()) + ((stop,) if stop else ())
@@ -417,8 +419,10 @@ def accepts(machine: Machine, word: Iterable[str], caps: ResourceCaps = Resource
 def _accepts_deterministic(machine: Machine, word: Word, caps: ResourceCaps) -> AcceptResult:
     """`accepts` along the unique run, one `step_table` cell per step.  The
     tree lives in the loop as its latest node, distinguished node and spine;
-    only a silent step can revisit a configuration, so configurations, and
-    their trees, are kept from the first silent step of each stretch on."""
+    only a silent step can revisit a configuration, so configurations are
+    kept from the first silent step of each stretch on, as (latest, node)
+    under the key (state, latest node's hash, distinguished index).  Equal
+    trees have equal keys, so a tree is compared only on a key hit."""
     if caps.max_frontier < 1:
         return AcceptResult(CAP_EXCEEDED, caps_hit=("max_frontier",))
     n, finals, max_tree_edges = len(word), machine.finals, caps.max_tree_edges
@@ -434,10 +438,9 @@ def _accepts_deterministic(machine: Machine, word: Word, caps: ResourceCaps) -> 
             return AcceptResult(REJECTED)
         if len(cell) > 1:
             raise _both_apply(state, _tree(latest, node, spine, node[_INDEX]), cell)
-        e = cell[0]
-        if e.letter == EPSILON and seen is None:
-            seen = {(state, _tree(latest, node, spine, node[_INDEX]))}
-        kind, symbol = e.op  # the branches of `apply`, whose domain tests the table has made
+        e, dst, kind, symbol, letter = cell[0]  # the branches of `apply`, whose domain tests the table has made
+        if not letter and seen is None:
+            seen = {(state, latest[_HASH], node[_INDEX]): (latest, node)}
         if kind == "push":
             v = node[_INDEX]
             latest = node = (latest[_INDEX] + 1, symbol, v, node, latest, spine, hash((latest[_HASH], v, symbol)))
@@ -451,15 +454,16 @@ def _accepts_deterministic(machine: Machine, word: Word, caps: ResourceCaps) -> 
         if latest[_INDEX] > max_tree_edges:
             return AcceptResult(CAP_EXCEEDED, caps_hit=("max_tree_edges",))
         path.append(e)
-        state = e.dst
-        if e.letter != EPSILON:
+        state = dst
+        if letter:
             pos += 1
             seen = None
         else:
-            size = len(seen)
-            seen.add((state, _tree(latest, node, spine, node[_INDEX])))  # one hash, new or not
-            if len(seen) == size:
-                return AcceptResult(REJECTED)
+            key, pair = (state, latest[_HASH], node[_INDEX]), (latest, node)
+            while (old := seen.setdefault(key, pair)) is not pair:  # a key hit: the same tree, or a collision
+                if _tree(*old, None, old[1][_INDEX]) == _tree(latest, node, None, node[_INDEX]):
+                    return AcceptResult(REJECTED)
+                key = (key,)  # a collision: probe on, keeping both trees
         if pos == n and state in finals and latest[_INDEX] == 0:
             return AcceptResult(ACCEPTED, witness=Computation(tuple(path), word, _EMPTY))
     return AcceptResult(CAP_EXCEEDED, caps_hit=("max_steps",))  # the search would examine one more configuration
@@ -516,9 +520,9 @@ def check_deterministic(machine: Machine) -> Optional[DeterminismConflict]:
             for rank, s in enumerate(symbols):
                 for at_leaf, cell in zip((False, True), cells[s]):
                     if len(cell) > 1:  # in machine order, so its first two edges are its first pair
-                        i = edges.index(cell[0])
-                        j = edges.index(cell[1], i + 1)  # a repeated edge is told apart by its position
-                        conflicts.append(((i, j, rank, not at_leaf), DeterminismConflict(state, *cell[:2], s, at_leaf)))
+                        i = edges.index(cell[0][0])
+                        j = edges.index(cell[1][0], i + 1)  # a repeated edge is told apart by its position
+                        conflicts.append(((i, j, rank, not at_leaf), DeterminismConflict(state, edges[i], edges[j], s, at_leaf)))
         if conflicts:
             return min(conflicts)[1]
     return None
@@ -569,8 +573,8 @@ class Trace(NamedTuple):
     stopped: str  # "halted", "max_steps" or "max_tree_edges"
 
 
-def _both_apply(state: str, tree: MemoryTree, cell: Tuple[Edge, ...]) -> NondeterminismDetected:
-    return NondeterminismDetected(f"state {state}, tree {tree}: edges {cell[0]} and {cell[1]} both apply")
+def _both_apply(state: str, tree: MemoryTree, cell: Tuple[tuple, ...]) -> NondeterminismDetected:
+    return NondeterminismDetected(f"state {state}, tree {tree}: edges {cell[0][0]} and {cell[1][0]} both apply")
 
 
 def _run(machine: Machine, letters: tuple, end: int, caps: ResourceCaps):
@@ -591,8 +595,7 @@ def _run(machine: Machine, letters: tuple, end: int, caps: ResourceCaps):
             return edges, trees, reads, cell
         if len(cell) > 1:
             raise _both_apply(state, tree, cell)
-        e = cell[0]
-        kind, symbol = e.op  # as in `_accepts_deterministic`
+        e, dst, kind, symbol, letter = cell[0]  # as in `_accepts_deterministic`
         if kind == "push":
             v = node[_INDEX]
             latest = node = (latest[_INDEX] + 1, symbol, v, node, latest, spine, hash((latest[_HASH], v, symbol)))
@@ -603,10 +606,10 @@ def _run(machine: Machine, letters: tuple, end: int, caps: ResourceCaps):
             node, spine = spine
         elif kind == "pop":
             latest, node, spine = node[_PREV], node[_PARENT], node[_SAVED]
-        tree, state = _tree(latest, node, spine, node[_INDEX]), e.dst
+        tree, state = _tree(latest, node, spine, node[_INDEX]), dst
         edges.append(e)
         trees.append(tree)
-        if e.letter != EPSILON:
+        if letter:
             pos += 1
         reads.append(pos)
         if latest[_INDEX] > max_tree_edges or pos == end:

@@ -197,8 +197,9 @@ def test_homomorphism_normalizes_and_validates():
 def test_machine_step_table_is_cached_per_machine():
     m = mm.Machine(*SAMPLES[mm.Machine][0])
     assert m.step_table is m.step_table
-    # a push is defined whatever the current symbol and leaf status
-    assert {cell for cells in m.step_table["1"]["a"].values() for cell in cells} == {(EDGE,)}
+    # a push is defined whatever the current symbol and leaf status; a cell
+    # holds one flat record per edge, (edge, dst, kind, symbol, letter)
+    assert {cell for cells in m.step_table["1"]["a"].values() for cell in cells} == {((EDGE, "2", "push", "x", "a"),)}
     assert m.step_table["2"][""] == {"x": ((), ()), "": ((), ()), None: ((), ())}
     assert mm.Machine(*SAMPLES[mm.Machine][0]).step_table is not m.step_table
 

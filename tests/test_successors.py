@@ -4,8 +4,10 @@ trees, the relations between verdicts under different caps and between
 searches at neighbouring horizons, and the work the searches do, counted
 at the kernel, and the collector pause around every public search and run."""
 
+import dis
 import gc
 import inspect
+import sys
 from collections import deque
 from itertools import product
 
@@ -33,7 +35,7 @@ from nestedstack.machine import (
     run_trace,
     successors,
 )
-from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply, down, empty_tree, pop, push
+from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply, down, empty_tree, pop, push, up
 
 FOREIGN = "zz"  # a letter no machine reads
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.nsa"))
@@ -228,15 +230,15 @@ def plain(tree):
     return triple
 
 
-def traced(machine, word, caps):
+def traced(machine, word, caps, view=plain):
     t = run_trace(machine, word, caps)
-    steps = tuple((e, plain(tree), consumed) for e, tree, consumed in t.steps)
-    return t.word, steps, t.consumed, t.final_state, plain(t.final_tree), t.accepted_at, t.stopped
+    steps = tuple((e, view(tree), consumed) for e, tree, consumed in t.steps)
+    return t.word, steps, t.consumed, t.final_state, view(t.final_tree), t.accepted_at, t.stopped
 
 
-def lifted(machine, word, caps):
+def lifted(machine, word, caps, view=plain):
     lift = lift_path(machine, word, caps)
-    return lift.status, [(c.state, plain(c.tree)) for c in lift.configs], lift.labels, lift.consumed, lift.stuck_at
+    return lift.status, [(c.state, view(c.tree)) for c in lift.configs], lift.labels, lift.consumed, lift.stuck_at
 
 
 def assert_runs_match_reference(machine, word, caps):
@@ -299,7 +301,8 @@ def concrete_trees(alphabet):
 
 
 def assert_step_table_matches_apply(machine):
-    """Each cell holds the edges of its row whose `apply` is defined on a
+    """Each cell holds the step records `(edge, dst, kind, symbol, letter)`,
+    plain tuples, of the edges of its row whose `apply` is defined on a
     concrete tree with the cell's current symbol and leaf status; a symbol
     no edge names (here one outside the memory alphabet) reads the None
     column.  Every cell is checked on at least one tree."""
@@ -311,8 +314,9 @@ def assert_step_table_matches_apply(machine):
         covered.add((symbol, leaf))
         for state, row in machine.step_table.items():
             for letter, cells in row.items():
-                want = tuple(e for e, _ in brute_force(machine, state, tree, letter))
+                want = tuple((e, e.dst, *e.op, e.letter) for e, _ in brute_force(machine, state, tree, letter))
                 assert cells[symbol][leaf] == want, (state, letter, symbol, leaf)
+                assert all(type(step) is tuple for step in cells[symbol][leaf])
     assert covered == set(product([*machine.memory_alphabet, EPSILON, None], [False, True]))
 
 
@@ -536,12 +540,19 @@ def test_enumeration_extends_to_the_next_length(machine, n, caps):
 # --- the work the searches do --------------------------------------------------
 
 
+# The loops that step on `step_table` records; each reads a record's `dst`
+# once per edge it takes, on lines a line tracer sees.
+LOOPS = {f.__code__: {i.positions.lineno for i in dis.get_instructions(f) if (i.opname, i.argval) == ("LOAD_FAST", "dst")}
+         for f in (machine_module._search, machine_module._accepts_deterministic, machine_module._run)}
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Counts of `apply` calls made through `machine.apply`, where the
     benchmark tracer patches it, of edges taken (every search reads an
-    edge's `dst` once per successor it goes on to) and of memory-tree
-    hashes and equality tests."""
+    edge's `dst` once per successor it goes on to: a record's in the loops
+    of `machine`, an `Edge`'s elsewhere) and of memory-tree hashes and
+    equality tests."""
     counts = {"apply": 0, "defined": 0, "taken": 0, "hash": 0, "eq": 0}
     original_apply, original_hash = machine_module.apply, MemoryTree.__dict__["__hash__"]
     original_eq = MemoryTree.__dict__["__eq__"]
@@ -568,7 +579,15 @@ def counted(monkeypatch):
     monkeypatch.setattr(Edge, "dst", property(counting_dst))
     monkeypatch.setattr(MemoryTree, "__hash__", counting_hash)
     monkeypatch.setattr(MemoryTree, "__eq__", counting_eq)
-    return counts
+
+    def in_loop(frame, event, arg):
+        counts["taken"] += event == "line" and frame.f_lineno in LOOPS[frame.f_code]
+        return in_loop
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_loop if frame.f_code in LOOPS else None)
+    yield counts
+    sys.settrace(previous)
 
 
 # Per query: `apply` calls, the defined ones among them, and edges taken.
@@ -621,14 +640,94 @@ def test_searches_hash_no_memory_tree(quad, counted):
     assert (counted["apply"], counted["hash"], counted["eq"]) == (0, 0, 0)
 
 
-def test_the_deterministic_run_hashes_silent_stretches_only(quad, counted):
-    # anbncndn's silent steps open and close each block: one hash for the
-    # configuration a stretch starts from, and one per silent step
+# Each reads a and then loops silently, so that its run comes back to a
+# configuration: it pops the x it pushed and pushes it again, or steps down
+# from it and up again.
+SILENT_LOOPS = [(name, parse_machine("states: 1 2 3\nstart: 1\nfinal: 1\ninput: a\nmemory: x\n"
+                                     f"edge: 1 2 push x a\nedge: 2 3 {there} eps\nedge: 3 2 {back} eps\n"))
+                for name, there, back in [("silent-pop-push", "pop x", "push x"), ("silent-down-up", "down x", "up eps")]]
+# Silently: [x,y] at y in state 4 and [x] at x in state 3, then [x,x] at its
+# second x in 4 and at its first in 3, and back in 4: a tree kept under a
+# key a different tree took first is revisited.
+COLLIDE_THEN_REVISIT = parse_machine(
+    "states: 1 2 3 4 5 6\nstart: 1\nfinal: 1\ninput: a\nmemory: x y\nedge: 1 2 push x a\nedge: 2 4 push y eps\n"
+    "edge: 4 3 pop y eps\nedge: 3 5 pop x eps\nedge: 5 6 push x eps\nedge: 6 4 push x eps\n"
+    "edge: 4 3 down x eps\nedge: 3 4 up x eps\n")
+# Pushes x and steps down from it, silently and without end: state 1 sees the
+# root distinguished in ever larger trees, so its keys differ only in their hash.
+PUSH_DOWN = parse_machine("states: 1 2\nstart: 1\nfinal: 2\ninput: a\nmemory: x\nedge: 1 2 push x eps\nedge: 2 1 down x eps\n")
+
+
+def colliding(patch):
+    """Every node a run pushes hashes to 0, so that the silent configurations
+    of a stretch collide on their key whenever state and distinguished index
+    agree."""
+    patch.setattr(machine_module, "hash", lambda _: 0, raising=False)
+
+
+def test_the_deterministic_run_hashes_no_memory_tree(quad, counted, monkeypatch):
+    # a silent stretch keys its configurations by state, the latest node's
+    # hash and the distinguished index, and compares two trees only on a key
+    # hit: once per revisit, and never on anbncndn, whose stretches revisit none
     assert accepts(quad, "aabbccdda").verdict == REJECTED
-    assert counted["hash"] == 5
-    counted.update(apply=0, defined=0, taken=0, hash=0)
     assert accepts(quad, "aabbccddabcd").verdict == ACCEPTED
-    assert counted["hash"] == 7
+    assert (counted["hash"], counted["eq"]) == (0, 0)
+    for _, loop in SILENT_LOOPS:
+        assert accepts(loop, "a") == (REJECTED, None, ())
+    assert (counted["hash"], counted["eq"]) == (0, 2)
+    caps = ResourceCaps(max_tree_edges=5)
+    assert accepts(PUSH_DOWN, "", caps) == (CAP_EXCEEDED, None, ("max_tree_edges",))
+    assert counted["eq"] == 2
+    # forced collisions: state 1's later trees (1 to 5 edges) share one key,
+    # and each is compared with every tree kept before it, all unequal
+    colliding(monkeypatch)
+    assert accepts(PUSH_DOWN, "", caps) == (CAP_EXCEEDED, None, ("max_tree_edges",))
+    assert counted["eq"] == 2 + 0 + 1 + 2 + 3 + 4
+
+
+# --- the silent-stretch key under forced collisions ------------------------------
+
+
+def answers(machine, word, caps):
+    """What `accepts`, `run_trace` and `lift_path` answer, with trees as
+    plain triples: trees built under another node hash compare unequal."""
+    result = accepts(machine, word, caps)
+    return ((result.verdict, result.caps_hit, result.witness and result.witness.path),
+            run_outcome(traced, machine, word, caps, reference_search.plain),
+            run_outcome(lifted, machine, word, caps, reference_search.plain))
+
+
+def assert_collisions_change_no_answer(machine, words, caps):
+    want = [answers(machine, word, caps) for word in words]
+    with pytest.MonkeyPatch.context() as patch:
+        colliding(patch)
+        assert [answers(machine, word, caps) for word in words] == want
+
+
+COLLIDING = [(name, load_machine(name), FIXTURE_MEMBERS.get(name, [])) for name in FIXTURE_NAMES] + [
+    (name, machine, sorted(enumerate_accepted(machine, 8))) for name, machine in PREIMAGES[:2]] + [
+    (name, machine, ["aa"]) for name, machine in SILENT_LOOPS] + [
+    ("silent-collide-then-revisit", COLLIDE_THEN_REVISIT, []), ("silent-push-down", PUSH_DOWN, [])]
+
+
+@pytest.mark.parametrize("name,machine,members", COLLIDING, ids=[name for name, _, _ in COLLIDING])
+@pytest.mark.parametrize("caps", [ResourceCaps(2000, 40, 80), ResourceCaps(12, 3, 80)], ids=["wide", "small"])
+def test_colliding_keys_change_no_answer(name, machine, members, caps):
+    assert_collisions_change_no_answer(machine, words_up_to(machine.input_alphabet, 3) + members, caps)
+
+
+ENTER_AND_LOOP = [[("1", "2", OPS.index(push("x")), "a"), ("2", "3", OPS.index(there), EPSILON),
+                   ("3", "2", OPS.index(back), EPSILON)]
+                  for there, back in [(pop("x"), push("x")), (down("x"), up()), (push("y"), down("y"))]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(loop=st.sampled_from(ENTER_AND_LOOP), rows=st.lists(EDGE, max_size=6),
+       finals=st.sets(st.sampled_from(STATES)), caps=RUN_CAPS)
+def test_colliding_keys_change_no_answer_on_random_machines(loop, rows, finals, caps):
+    machine = random_machine(loop + rows, finals)
+    assume(machine.deterministic)
+    assert_collisions_change_no_answer(machine, words_up_to("ab", 3), caps)
 
 
 # --- the search's node arena against the model --------------------------------------
