@@ -1,8 +1,8 @@
 """Every graph search of the package: breadth-first distances and parent
 trees over a neighbours callable (`adj.__getitem__` for a list or dict,
-or an implicit graph such as a Cayley graph), strongly connected components,
-max-weight paths over edge-weighted digraphs, and fundamental cycles of
-undirected graphs."""
+or an implicit graph such as a Cayley graph), max-weight paths over
+edge-weighted digraphs on a pass over their strongly connected components,
+and fundamental cycles of undirected graphs."""
 
 from __future__ import annotations
 
@@ -18,74 +18,44 @@ class CapExceeded(RuntimeError):
     """A search reached more vertices than its cap allows."""
 
 
-def strongly_connected_components(
-    nodes: Iterable[Node], successors: Dict[Node, List[Node]]
-) -> List[List[Node]]:
-    """Tarjan's algorithm, iterative.  Components are emitted with all
-    descendants of a component appearing before it (reverse topological
-    order of the condensation)."""
-    index: Dict[Node, int] = {}
-    lowlink: Dict[Node, int] = {}
-    on_stack: Set[Node] = set()
-    stack: List[Node] = []
-    components: List[List[Node]] = []
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = lowlink[v] = len(index)
-                stack.append(v)
-                on_stack.add(v)
-            succ = successors.get(v, [])
-            recurse = False
-            while i < len(succ):
-                w = succ[i]
-                i += 1
-                if w not in index:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
-
-
 def weighted_path_bound(edges: Sequence[Tuple[Node, Node, int, object]]):
     """Maximum total weight over all directed paths in a digraph.
 
     Edges are (src, dst, weight, payload) with weights >= 0.  Returns
     (bound, None) when every cycle has total weight zero, otherwise
-    (None, cycle_payloads) where the cycle contains a positive-weight edge.
+    (None, cycle_payloads): the first positive edge, in edge order, whose
+    ends share a strongly connected component, then a shortest path back.
     """
-    nodes: Set[Node] = set()
     succ: Dict[Node, List[Node]] = {}
+    pred: Dict[Node, List[Node]] = {}
     first: Dict[Tuple[Node, Node], object] = {}  # payload of the first u->v edge
     for u, v, _, payload in edges:
-        nodes.update((u, v))
         succ.setdefault(u, []).append(v)
+        pred.setdefault(v, []).append(u)
         first.setdefault((u, v), payload)
 
-    components = strongly_connected_components(nodes, succ)
-    comp_of = {v: i for i, comp in enumerate(components) for v in comp}
+    # Kosaraju: a depth-first pass over successors records the finishing order ...
+    finished: List[Node] = []
+    seen: Set[Node] = set()
+    work = [(None, iter(succ))]  # a virtual root with an arc to every vertex that starts an edge
+    while work:
+        v, out = work[-1]
+        for w in out:
+            if w not in seen:
+                seen.add(w)
+                work.append((w, iter(succ.get(w, ()))))
+                break
+        else:
+            finished.append(work.pop()[0])
+    finished.pop()  # the virtual root, finished last
+    # ... then each root, latest finished first, collects its component over
+    # predecessors; components come numbered in topological order
+    comp_of: Dict[Node, int] = {}
+    count = 0
+    for root in reversed(finished):
+        if root not in comp_of:
+            comp_of.update(dict.fromkeys(bfs_distances(lambda x: pred.get(x, ()), [root], blocked=comp_of), count))
+            count += 1
 
     for u, v, w, payload in edges:
         if w > 0 and comp_of[u] == comp_of[v]:
@@ -97,18 +67,12 @@ def weighted_path_bound(edges: Sequence[Tuple[Node, Node, int, object]]):
             path.reverse()
             return None, [payload] + [first[a, b] for a, b in zip(path, path[1:])]
 
-    # condensation is acyclic; components arrive descendants-first, so a
-    # single pass computes the best path weight starting in each component
-    best = [0] * len(components)
-    comp_edges: Dict[int, List[Tuple[int, int]]] = {}
-    for u, v, w, _ in edges:
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv:
-            comp_edges.setdefault(cu, []).append((cv, w))
-    for ci in range(len(components)):
-        for cv, w in comp_edges.get(ci, []):
-            best[ci] = max(best[ci], w + best[cv])
-    return (max(best) if best else 0), None
+    # every edge leads to the same or a later component, and inside one all
+    # weigh zero: edges taken from the last component back give each its best path
+    best = [0] * count
+    for cu, cv, w in sorted(((comp_of[u], comp_of[v], w) for u, v, w, _ in edges), reverse=True):
+        best[cu] = max(best[cu], w + best[cv])
+    return max(best, default=0), None
 
 
 def fundamental_cycle(adjacency: Sequence[Iterable[int]]) -> Optional[List[int]]:

@@ -51,6 +51,19 @@ def test_check_erasing_output(capsys):
     assert out.strip() == "bounded, k = 1"
 
 
+def test_check_erasing_bounded_through_a_silent_cycle(capsys, tmp_path):
+    # states 1 and 2 form a silent cycle of stays; the one pop leaves it
+    machine = tmp_path / "silent_cycle.nsa"
+    machine.write_text(
+        "states: 1 2 3\nstart: 1\nfinal: 3\ninput: a\nmemory: x\n"
+        "edge: 1 1 push x a\nedge: 1 2 stay eps\nedge: 2 1 stay eps\nedge: 2 3 pop x eps\n"
+    )
+    assert run(capsys, "check-erasing", str(machine)) == (0, "bounded, k = 1\n", "")
+    code, out, _ = run(capsys, "check-erasing", str(machine), "--json")
+    assert code == 0
+    assert json.loads(out) == {"bounded": True, "command": "check-erasing", "k": 1, "schema": "nestedstack/1"}
+
+
 def test_check_det_output(capsys):
     code, out, _ = run(capsys, "check-det", QUAD)
     assert code == 0 and out.strip() == "deterministic"
