@@ -18,7 +18,7 @@ _EXPORTS = {
         "ACCEPTED", "CAP_EXCEEDED", "REJECTED", "AcceptResult", "Computation", "Edge",
         "Machine", "MachineError", "MachineParseError", "ResourceCaps", "accepts",
         "check_deterministic", "check_limited_erasing", "enumerate_accepted",
-        "format_machine", "parse_machine", "run_trace", "successors",
+        "format_machine", "parse_machine", "run_trace",
     ),
     "hom": ("Homomorphism", "parse_homomorphism", "preimage", "publish_reserved_names"),
     "config_graph": (

@@ -14,7 +14,7 @@ from operator import attrgetter
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from .graphs import bfs_distances, weighted_path_bound
-from .machine import Machine, ResourceCaps, _both_apply, _gc_paused, _run, successors
+from .machine import Machine, ResourceCaps, _both_apply, _explore, _gc_paused, _run
 from .memory_tree import EPSILON, MemoryTree, empty_tree
 
 
@@ -110,46 +110,14 @@ def build(machine: Machine, horizon: BuildHorizon = BuildHorizon()) -> ConfigGra
 
     Stored vertices are exactly those reachable within the horizon;
     co-accessibility is backward reachability from explored accepting
-    configurations, restricted to the explored graph.  The id map built
-    here is the only place configurations are hashed."""
-    max_tree_edges, max_vertices, max_depth, new = *horizon, tuple.__new__
-    vertices = [Configuration(machine.initial, empty_tree())]
-    ids = {vertices[0]: 0}
-    parent: List[Optional[Tuple[int, str]]] = [None]
-    depth = [0]
-    edges: List[Tuple[int, int, str]] = []
-    truncated = False
-
-    for v, (state, tree) in enumerate(vertices):  # breadth-first: the loop reaches vertices as they are appended
-        if max_depth is not None and depth[v] >= max_depth:
-            truncated = True
-            continue
-        out = []
-        room = max_tree_edges - tree.edge_count  # a push needs one more edge, any other step none
-        for e, t2 in successors(machine, state, tree, None):
-            if room < (e.op.kind == "push"):
-                truncated = True
-                continue
-            nxt = new(Configuration, (e.dst, t2))  # NamedTuple.__new__ is a Python call
-            w = ids.setdefault(nxt, len(vertices))  # one hash of nxt, new or not
-            if w == len(vertices):
-                if w >= max_vertices:
-                    del ids[nxt]  # ids maps stored vertices only
-                    truncated = True
-                    continue
-                vertices.append(nxt)
-                parent.append((v, e.letter))
-                depth.append(depth[v] + 1)
-            out.append((v, w, e.letter))
-        edges += dict.fromkeys(out)  # every outedge of v arises here, so this drops all repeats
-
-    empty = empty_tree()
-    accepting = [i for i, v in enumerate(vertices) if v.state in machine.finals and v.tree == empty]
+    configurations, restricted to the explored graph."""
+    found, edges, parent, truncated = _explore(machine, *horizon)
+    vertices = list(map(tuple.__new__, repeat(Configuration), found))  # NamedTuple.__new__ is a Python call
+    accepting = [i for i, (state, tree) in enumerate(found) if state in machine.finals and not tree.edge_count]
     back: List[List[int]] = [[] for _ in vertices]
     for src, dst, _ in edges:
         back[dst].append(src)
     coaccessible = set(bfs_distances(back.__getitem__, accepting))
-
     return ConfigGraph(machine, vertices, edges, parent, coaccessible, horizon, truncated)
 
 

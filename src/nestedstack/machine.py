@@ -20,7 +20,6 @@ from .memory_tree import (
     EPSILON,
     MemoryTree,
     StackOp,
-    apply,
 )
 
 Word = Tuple[str, ...]
@@ -94,10 +93,9 @@ class Machine(_MachineFields):
         observations that decide an operation's domain: row[a][s] is a pair,
         the edges defined when the current symbol is s (EPSILON at the root)
         and the distinguished vertex is not the latest one, then when it is.
-        row[a][None], the push and stay edges, serves symbols no edge names.
         A cell holds one flat step record per edge, `(edge, dst, kind,
         symbol, letter)`, so a loop reads a step with one tuple unpack."""
-        symbols = (*self.memory_alphabet, EPSILON, None)
+        symbols = (*self.memory_alphabet, EPSILON)
         everywhere = [(s, leaf) for s in symbols for leaf in (0, 1)]
         table = {q: {a: {s: ([], []) for s in symbols} for a in (EPSILON, None)} for q in self.states}
         for e in self.edges:  # an edge's cells follow from its operation alone
@@ -306,18 +304,6 @@ class AcceptResult(NamedTuple):
     caps_hit: Tuple[str, ...] = ()
 
 
-def successors(
-    machine: Machine, state: str, tree: MemoryTree, letter: Optional[str]
-) -> List[Tuple[Edge, MemoryTree]]:
-    """The one-step successor relation: `(edge, tree')` for every outedge of
-    `state` that reads `letter` or is silent (every outedge when `letter` is
-    None) and whose operation is defined on `tree`, in machine edge order.
-    A letter that no outedge reads selects the silent edges alone."""
-    row = machine.step_table[state]
-    cells = row.get(letter, row[EPSILON])
-    return [(e, apply(e.op, tree)) for e, *_ in cells.get(tree._node[_LABEL], cells[None])[tree._spine is None]]
-
-
 def _search(machine: Machine, letters: tuple, goal: Optional[int], caps: ResourceCaps):
     """Breadth-first search over configurations (state, latest, node, tag),
     in machine edge order, with deduplication.  Trees live in an arena
@@ -391,6 +377,52 @@ def _search(machine: Machine, letters: tuple, goal: Optional[int], caps: Resourc
             if parent.setdefault(nxt, link := (cfg, e)) is link:  # one hash of nxt, new or not
                 queue.append((nxt, spine2))
     return parent, None, (("max_tree_edges",) if pruned else ()) + ((stop,) if stop else ())
+
+
+def _explore(machine: Machine, max_tree_edges: int, max_vertices: int, max_depth: Optional[int]):
+    """`config_graph.build`'s breadth-first search, in edge order: the (state,
+    tree) pairs found, the (src, dst, letter) edges between their indices
+    without repeats, the (index, letter) step that found each pair (None for
+    the first), and whether a cap cut anything off.  Steps apply inline, as in
+    `_run`, and a push of s onto latest node l and distinguished node d is
+    interned under (id(l), id(d), s): equal trees share both nodes, so a pair
+    is keyed by its state and their ids, and its tree is made once."""
+    table, root = machine.step_table, _EMPTY._latest
+    found, parent, depth, edges, interned = [(machine.initial, _EMPTY)], [None], [0], [], {}
+    ids, truncated = {(machine.initial, id(root), id(root)): 0}, False  # `interned` keeps every id's node alive
+    for v, (state, tree) in enumerate(found):  # breadth-first: the loop reaches pairs as they are appended
+        if max_depth is not None and depth[v] >= max_depth:
+            truncated = True
+            continue
+        latest, node, spine, out = tree._latest, tree._node, tree._spine, []
+        room = max_tree_edges - latest[_INDEX]  # a push needs one more edge, any other step none
+        for e, dst, kind, symbol, letter in table[state][None][node[_LABEL]][spine is None]:  # as in `_search`
+            if room < (kind == "push"):
+                truncated = True
+                continue
+            latest2, node2, spine2 = latest, node, spine  # stay
+            if kind == "push":
+                if (new := interned.get(key := (id(latest), id(node), symbol))) is None:  # the first such push
+                    i = node[_INDEX]
+                    new = interned[key] = (latest[_INDEX] + 1, symbol, i, node, latest, spine, hash((latest[_HASH], i, symbol)))
+                latest2, node2, spine2 = new, new, None
+            elif kind == "down":
+                node2, spine2 = node[_PARENT], (node, spine)
+            elif kind == "up":
+                node2, spine2 = spine
+            elif kind == "pop":
+                latest2, node2, spine2 = node[_PREV], node[_PARENT], node[_SAVED]
+            if (w := ids.get(key := (dst, id(latest2), id(node2)))) is None:
+                if len(found) >= max_vertices:
+                    truncated = True
+                    continue
+                w = ids[key] = len(found)
+                found.append((dst, _tree(latest2, node2, spine2, node2[_INDEX])))
+                parent.append((v, letter))
+                depth.append(depth[v] + 1)
+            out.append((v, w, letter))
+        edges += dict.fromkeys(out)  # every outedge of v arises here, so this drops all repeats
+    return found, edges, parent, truncated
 
 
 @_gc_paused

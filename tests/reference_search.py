@@ -115,11 +115,13 @@ def enumerate_accepted(machine, max_len, caps):
 
 
 def build(machine, horizon):
-    """`(vertices, edges, truncated)` as `config_graph.build` explores them,
-    vertices as `(state, parents, labels, distinguished)`."""
+    """`(vertices, edges, parent, coaccessible, truncated)` as
+    `config_graph.build` explores them, vertices as `(state, parents,
+    labels, distinguished)`; co-accessibility by a fixpoint over the edges."""
     vertices = [(machine.initial, EMPTY)]
     ids = {vertices[0]: 0}
     depth = [0]
+    parent = [None]
     edges = []
     edge_set = set()
     truncated = False
@@ -139,11 +141,20 @@ def build(machine, horizon):
                 ids[nxt] = len(vertices)
                 vertices.append(nxt)
                 depth.append(depth[v] + 1)
+                parent.append((v, e.letter))
             edge = (v, ids[nxt], e.letter)
             if edge not in edge_set:
                 edge_set.add(edge)
                 edges.append(edge)
-    return [(state, *plain(tree)) for state, tree in vertices], edges, truncated
+    coaccessible = {i for i, (state, tree) in enumerate(vertices) if state in machine.finals and tree == EMPTY}
+    grown = True
+    while grown:
+        grown = False
+        for src, dst, _ in edges:
+            if dst in coaccessible and src not in coaccessible:
+                coaccessible.add(src)
+                grown = True
+    return [(state, *plain(tree)) for state, tree in vertices], edges, parent, coaccessible, truncated
 
 
 def only_step(machine, state, tree, letter):

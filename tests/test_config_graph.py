@@ -232,6 +232,21 @@ def test_project_zcount_consistent(zcount):
             assert image == (-config.tree.edge_count,)
 
 
+def test_projection_consistent_at_the_next_horizon_is_consistent_here(zcount):
+    # an edge explored at h is explored at h + 1, so a projection consistent
+    # there is consistent here, with the same image for each (state, tree)
+    oracle = make_oracle("abelian 1")
+    graphs = [build(zcount, BuildHorizon(max_tree_edges=h, max_vertices=20_000)) for h in range(13)]
+    reports = [project(cg, oracle) for cg in graphs]
+    for h in range(12):
+        assert len(graphs[h + 1].vertices) < 20_000
+        if reports[h + 1].consistent:
+            assert reports[h].consistent
+            image = dict(zip(graphs[h + 1].vertices, reports[h + 1].images))
+            assert [image[config] for config in graphs[h].vertices] == reports[h].images
+    assert all(report.consistent for report in reports)
+
+
 def test_project_free_group_machine_consistent():
     machine = free_group_wp_machine(rank=2)
     oracle = make_oracle("free 2")

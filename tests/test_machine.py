@@ -19,7 +19,6 @@ from nestedstack.machine import (
     format_machine,
     parse_machine,
     run_trace,
-    successors,
 )
 from nestedstack.memory_tree import (
     EPSILON,
@@ -32,6 +31,7 @@ from nestedstack.memory_tree import (
 )
 
 from conftest import apply_word, load_machine
+from test_successors import table_successors
 
 
 def small_machine(edges, states="1 2", start="1", final="1", inputs="a b", memory="x y"):
@@ -153,7 +153,7 @@ def test_parse_word_forms():
 
 
 def test_step_silent_edge_from_start(quad):
-    (edge, tree), = successors(quad, "1", empty_tree(), EPSILON)
+    (edge, tree), = table_successors(quad, "1", empty_tree(), EPSILON)
     assert edge.dst == "2"
     assert tree.branch_labels() == ("y",)
 
@@ -161,12 +161,12 @@ def test_step_silent_edge_from_start(quad):
 def test_step_empty_when_pop_precondition_fails(quad):
     tree_y = apply_word([push("y")], empty_tree())
     # pop x is undefined on a y leaf: only the silent pop y is left
-    assert [e.letter for e, _ in successors(quad, "4", tree_y, "d")] == [EPSILON]
+    assert [e.letter for e, _ in table_successors(quad, "4", tree_y, "d")] == [EPSILON]
 
 
 def test_step_empty_on_foreign_letter(quad):
     # no edge reads z, so only the silent edges apply
-    assert [e.letter for e, _ in successors(quad, "1", empty_tree(), "z")] == [EPSILON]
+    assert [e.letter for e, _ in table_successors(quad, "1", empty_tree(), "z")] == [EPSILON]
 
 
 @pytest.mark.parametrize(

@@ -183,19 +183,10 @@ def test_anbn_quotient_at_horizon_800_has_its_closed_form(anbn):
 PUSHDOWN_OPS = (push("x"), push("y"), pop("x"), pop("y"), STAY)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    states=st.integers(2, 3),
-    rows=st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(PUSHDOWN_OPS), st.sampled_from(["a", EPSILON])),
-        max_size=10,
-    ),
-    cap=st.integers(0, 6),
-)
-def test_classes_match_union_find_oracle_on_random_machines(states, rows, cap):
+def pushdown_machine(states, rows):
     names = tuple(str(i) for i in range(states))
     edges = tuple(dict.fromkeys(Edge(names[a % states], names[b % states], op, x) for a, b, op, x in rows))
-    machine = Machine(
+    return Machine(
         states=names,
         initial="0",
         finals=frozenset({names[-1]}),
@@ -203,4 +194,41 @@ def test_classes_match_union_find_oracle_on_random_machines(states, rows, cap):
         memory_alphabet=frozenset({"x", "y"}),
         edges=edges,
     )
-    assert_matches_oracles(build(machine, BuildHorizon(max_tree_edges=cap)))
+
+
+PUSHDOWN_ROWS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(PUSHDOWN_OPS), st.sampled_from(["a", EPSILON])),
+    max_size=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(states=st.integers(2, 3), rows=PUSHDOWN_ROWS, cap=st.integers(0, 6))
+def test_classes_match_union_find_oracle_on_random_machines(states, rows, cap):
+    assert_matches_oracles(build(pushdown_machine(states, rows), BuildHorizon(max_tree_edges=cap)))
+
+
+# --- the classes at neighbouring horizons ----------------------------------------
+
+
+def assert_classes_nest(machine, cap):
+    """Each class at tree cap `cap` lies inside one class at `cap + 1`, its
+    members found there by (state, tree): the larger graph holds every path
+    that joined them.  The vertex cap must not fire at `cap + 1`."""
+    small, big = (build(machine, BuildHorizon(max_tree_edges=c, max_vertices=20_000)) for c in (cap, cap + 1))
+    assert len(big.vertices) < big.horizon.max_vertices
+    class_at = {big.vertices[v]: i for i, members in enumerate(nonerasing_classes(big)) for v in members}
+    for members in nonerasing_classes(small):
+        assert len({class_at[small.vertices[v]] for v in members}) == 1, members
+
+
+@pytest.mark.parametrize("name", sorted(PUSHDOWN_MACHINES))
+def test_classes_nest_across_horizons_on_fixtures(name):
+    for cap in range(8):
+        assert_classes_nest(PUSHDOWN_MACHINES[name], cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(states=st.integers(2, 3), rows=PUSHDOWN_ROWS, cap=st.integers(0, 5))
+def test_classes_nest_across_horizons_on_random_machines(states, rows, cap):
+    assert_classes_nest(pushdown_machine(states, rows), cap)

@@ -200,7 +200,7 @@ def test_machine_step_table_is_cached_per_machine():
     # a push is defined whatever the current symbol and leaf status; a cell
     # holds one flat record per edge, (edge, dst, kind, symbol, letter)
     assert {cell for cells in m.step_table["1"]["a"].values() for cell in cells} == {((EDGE, "2", "push", "x", "a"),)}
-    assert m.step_table["2"][""] == {"x": ((), ()), "": ((), ()), None: ((), ())}
+    assert m.step_table["2"][""] == {"x": ((), ()), "": ((), ())}  # a column per memory symbol and EPSILON, no other
     assert mm.Machine(*SAMPLES[mm.Machine][0]).step_table is not m.step_table
 
 

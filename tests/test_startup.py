@@ -57,7 +57,7 @@ PUBLIC = {
     "memory_tree": "EPSILON STAY UNDEFINED MemoryTree StackOp apply down empty_tree pop push up",
     "machine": "ACCEPTED CAP_EXCEEDED REJECTED AcceptResult Computation Edge Machine MachineError "
                "MachineParseError ResourceCaps accepts check_deterministic check_limited_erasing "
-               "enumerate_accepted format_machine parse_machine run_trace successors",
+               "enumerate_accepted format_machine parse_machine run_trace",
     "hom": "Homomorphism parse_homomorphism preimage publish_reserved_names",
     "config_graph": "BuildHorizon ConfigGraph Configuration build check_degrees export_dot lift_path "
                     "max_eps_run project vertex_name",
@@ -179,8 +179,8 @@ NODE_LAYOUT = {"_EMPTY", "_HASH", "_LABEL", "_PARENT", "_PREV", "_SAVED", "_tree
 def test_only_machine_steps_memory_tree_nodes():
     # `machine` walks every run, so it alone knows the node layout, reads a
     # tree's private slots and reads `Machine.step_table`; every other module,
-    # `config_graph` included, uses only a tree's public surface (`build`'s
-    # tree cap reads `edge_count`)
+    # `config_graph` included, uses only a tree's public surface (`build`
+    # finds the empty trees by `edge_count`)
     private, slot_readers, table_readers = {}, set(), set()
     for path in sorted((ROOT / "src" / "nestedstack").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -194,6 +194,15 @@ def test_only_machine_steps_memory_tree_nodes():
     assert "config_graph.py" in private and not private["config_graph.py"]
     assert slot_readers == {"machine.py", "memory_tree.py"}
     assert table_readers == {"machine.py"}
+
+
+def test_no_source_module_but_memory_tree_names_apply():
+    # every search and run steps its trees inline on `Machine.step_table`
+    # records; `apply` stays public as the reference semantics
+    for path in sorted((ROOT / "src" / "nestedstack").glob("*.py")):
+        if path.name != "memory_tree.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                assert getattr(node, "id", getattr(node, "name", None)) != "apply", f"{path.name}:{node.lineno}"
 
 
 def test_public_names_resolve_to_the_submodule_objects():
@@ -219,5 +228,7 @@ def test_star_import_binds_every_public_name():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         nestedstack.no_such_name
-    for name in ("weighted_path_bound", "apply_word", "validate", "UNBOUNDED_WITHIN_HORIZON"):
+    for name in ("weighted_path_bound", "apply_word", "validate", "UNBOUNDED_WITHIN_HORIZON", "successors"):
         assert not hasattr(nestedstack, name), name
+    with pytest.raises(AttributeError, match="successors"):
+        nestedstack.successors  # the searches read `Machine.step_table` records instead

@@ -1,8 +1,9 @@
-"""The successor kernel against a brute-force scan of the edge list, the
-searches built on it against each other and against a model over tuple
-trees, the relations between verdicts under different caps and between
-searches at neighbouring horizons, and the work the searches do, counted
-at the kernel, and the collector pause around every public search and run."""
+"""The successor relation of `Machine.step_table` against a brute-force
+scan of the edge list, the searches built on it against each other and
+against a model over tuple trees (on every machine of a small scope too),
+the relations between verdicts under different caps and between searches
+at neighbouring horizons, the work the searches do, counted in their step
+loops, and the collector pause around every public search and run."""
 
 import dis
 import gc
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_search
+import small_scope
 from conftest import FIXTURES, free_group_wp_machine, load_machine, random_trees, tree_ops
 from nestedstack import config_graph, machine as machine_module
 from nestedstack.cli import main
@@ -33,7 +35,6 @@ from nestedstack.machine import (
     enumerate_accepted,
     parse_machine,
     run_trace,
-    successors,
 )
 from nestedstack.memory_tree import EPSILON, UNDEFINED, STAY, MemoryTree, apply, down, empty_tree, pop, push, up
 
@@ -54,6 +55,16 @@ def brute_force(machine, state, tree, letter):
     return out
 
 
+def table_successors(machine, state, tree, letter):
+    """The successor relation as the searches read it off `step_table`: the
+    records of the cell for `letter` (the silent row for a letter no edge
+    reads), the tree's current symbol and its leaf status, each applied to
+    `tree` with `apply`."""
+    row = machine.step_table[state]
+    cell = row.get(letter, row[EPSILON])[tree.current_symbol][tree.distinguished == len(tree) - 1]
+    return [(e, apply(e.op, tree)) for e, *_ in cell]
+
+
 def letters(machine):
     return [*sorted(machine.input_alphabet), EPSILON, None, FOREIGN]
 
@@ -69,7 +80,7 @@ def test_successors_match_brute_force_on_fixtures(name):
     for tree in trees_for(machine, seed=len(name)):
         for state in machine.states:
             for letter in letters(machine):
-                assert successors(machine, state, tree, letter) == brute_force(machine, state, tree, letter)
+                assert table_successors(machine, state, tree, letter) == brute_force(machine, state, tree, letter)
 
 
 STATES = ("1", "2", "3")
@@ -106,7 +117,7 @@ def random_machine(rows, finals=("1",)):
 def test_successors_match_brute_force_on_random_machines(rows, tree_index, state, letter):
     machine = random_machine(rows)
     tree = RANDOM_TREES[tree_index]
-    assert successors(machine, state, tree, letter) == brute_force(machine, state, tree, letter)
+    assert table_successors(machine, state, tree, letter) == brute_force(machine, state, tree, letter)
 
 
 def _membership_machines():
@@ -152,7 +163,8 @@ def assert_searches_match_reference(machine, words, max_len, caps, horizons):
     for horizon in horizons:
         cg = build(machine, horizon)
         vertices = [(c.state, *reference_search.plain(c.tree)) for c in cg.vertices]
-        assert (vertices, cg.edges, cg.truncated) == reference_search.build(machine, horizon), horizon
+        got = (vertices, cg.edges, cg.parent, cg.coaccessible, cg.truncated)
+        assert got == reference_search.build(machine, horizon), horizon
 
 
 def words_up_to(alphabet, n):
@@ -182,6 +194,21 @@ def test_searches_match_reference_on_fixtures(name):
 def test_searches_match_reference_on_random_machines(rows, finals, caps, horizon):
     machine = random_machine(rows, finals)
     assert_searches_match_reference(machine, words_up_to("ab", 2), 2, caps, [horizon])
+
+
+def test_build_matches_reference_on_the_small_scope():
+    # every machine with at most two edges over states 1 2, input a and
+    # memory x, at six horizons; see `small_scope`
+    machines = list(small_scope.machines())
+    assert len(machines) == 4708
+    assert [(m.edges, m.finals) for m in machines if small_scope.mismatches(m)] == []
+
+
+def test_the_sharing_pin_tells_equal_trees_built_apart():
+    # equal trees built from scratch hold distinct nodes
+    trees = [MemoryTree((-1, 0), ("", "x"), 1) for _ in range(2)]
+    assert trees[0] == trees[1]
+    assert not small_scope.shares_nodes([config_graph.Configuration(state, tree) for state, tree in zip("12", trees)])
 
 
 def assert_accepts_matches_reference(machine, words, caps):
@@ -303,21 +330,21 @@ def concrete_trees(alphabet):
 def assert_step_table_matches_apply(machine):
     """Each cell holds the step records `(edge, dst, kind, symbol, letter)`,
     plain tuples, of the edges of its row whose `apply` is defined on a
-    concrete tree with the cell's current symbol and leaf status; a symbol
-    no edge names (here one outside the memory alphabet) reads the None
-    column.  Every cell is checked on at least one tree."""
-    alphabet = (*sorted(machine.memory_alphabet), "zz")
+    concrete tree with the cell's current symbol and leaf status.  A row has
+    one column per memory symbol and one for EPSILON, and no other: a search
+    meets no other symbol.  Every cell is checked on at least one tree."""
+    symbols = {*machine.memory_alphabet, EPSILON}
+    assert all(set(cells) == symbols for row in machine.step_table.values() for cells in row.values())
     covered = set()
-    for tree in concrete_trees(alphabet):
-        symbol = tree.current_symbol if tree.current_symbol in {*machine.memory_alphabet, EPSILON} else None
-        leaf = tree.distinguished == len(tree) - 1
+    for tree in concrete_trees(tuple(sorted(machine.memory_alphabet))):
+        symbol, leaf = tree.current_symbol, tree.distinguished == len(tree) - 1
         covered.add((symbol, leaf))
         for state, row in machine.step_table.items():
             for letter, cells in row.items():
                 want = tuple((e, e.dst, *e.op, e.letter) for e, _ in brute_force(machine, state, tree, letter))
                 assert cells[symbol][leaf] == want, (state, letter, symbol, leaf)
                 assert all(type(step) is tuple for step in cells[symbol][leaf])
-    assert covered == set(product([*machine.memory_alphabet, EPSILON, None], [False, True]))
+    assert covered == set(product(symbols, [False, True]))
 
 
 @pytest.mark.parametrize("name,machine,_", MEMBERSHIP + [("popcycle.nsa", load_machine("popcycle.nsa"), 0)],
@@ -541,31 +568,27 @@ def test_enumeration_extends_to_the_next_length(machine, n, caps):
 
 
 # The loops that step on `step_table` records; each reads a record's `dst`
-# once per edge it takes, on lines a line tracer sees.
-LOOPS = {f.__code__: {i.positions.lineno for i in dis.get_instructions(f) if (i.opname, i.argval) == ("LOAD_FAST", "dst")}
-         for f in (machine_module._search, machine_module._accepts_deterministic, machine_module._run)}
+# once per edge it takes, first on a line a line tracer sees (`_explore`
+# reads it again for a pair it finds).
+LOOPS = {f.__code__: min(i.positions.lineno for i in dis.get_instructions(f) if (i.opname, i.argval) == ("LOAD_FAST", "dst"))
+         for f in (machine_module._search, machine_module._accepts_deterministic, machine_module._run,
+                   machine_module._explore)}
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of `apply` calls made through `machine.apply`, where the
-    benchmark tracer patches it, of edges taken (every search reads an
-    edge's `dst` once per successor it goes on to: a record's in the loops
-    of `machine`, an `Edge`'s elsewhere) and of memory-tree hashes and
-    equality tests."""
+    """Counts of `apply` calls made through any package module that binds
+    it, where the benchmark tracer patches it, of edges taken (every search
+    reads a record's `dst` once per successor it goes on to, in the loops of
+    `LOOPS`) and of memory-tree hashes and equality tests."""
     counts = {"apply": 0, "defined": 0, "taken": 0, "hash": 0, "eq": 0}
-    original_apply, original_hash = machine_module.apply, MemoryTree.__dict__["__hash__"]
-    original_eq = MemoryTree.__dict__["__eq__"]
+    original_hash, original_eq = MemoryTree.__dict__["__hash__"], MemoryTree.__dict__["__eq__"]
 
     def counting_apply(op, tree):
         counts["apply"] += 1
-        result = original_apply(op, tree)
+        result = apply(op, tree)  # this module's binding, which stays unpatched
         counts["defined"] += result is not UNDEFINED
         return result
-
-    def counting_dst(edge):
-        counts["taken"] += 1
-        return tuple.__getitem__(edge, 1)
 
     def counting_hash(tree):
         counts["hash"] += 1
@@ -575,13 +598,14 @@ def counted(monkeypatch):
         counts["eq"] += 1
         return original_eq(tree, other)
 
-    monkeypatch.setattr(machine_module, "apply", counting_apply)
-    monkeypatch.setattr(Edge, "dst", property(counting_dst))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nestedstack") and vars(module).get("apply") is apply:
+            monkeypatch.setattr(module, "apply", counting_apply)
     monkeypatch.setattr(MemoryTree, "__hash__", counting_hash)
     monkeypatch.setattr(MemoryTree, "__eq__", counting_eq)
 
     def in_loop(frame, event, arg):
-        counts["taken"] += event == "line" and frame.f_lineno in LOOPS[frame.f_code]
+        counts["taken"] += event == "line" and frame.f_lineno == LOOPS[frame.f_code]
         return in_loop
 
     previous = sys.gettrace()
@@ -591,17 +615,15 @@ def counted(monkeypatch):
 
 
 # Per query: `apply` calls, the defined ones among them, and edges taken.
-# `step_table` offers only edges whose operation is defined, so every
-# `apply` call is defined; a count that moves means a search explores
-# something else, or bypasses the `machine.apply` the tracer patches.  The
-# deterministic run and the breadth-first search apply their steps inline
-# and call `apply` not at all: their edges taken are their steps.
+# Every search applies its steps inline and calls `apply` not at all: its
+# edges taken are its steps.  A count that moves means a search explores
+# something else, or goes back to `apply`.
 SEARCH_WORK = [
     ("accepts-member", lambda quad: accepts(quad, "aabbccddabcd"), 0, 0, 16),
     ("accepts-nonmember", lambda quad: accepts(quad, "aabbccdda"), 0, 0, 12),
     ("enumerate", lambda quad: enumerate_accepted(quad, 12), 0, 0, 133),
-    ("build", lambda quad: build(quad, BuildHorizon(max_tree_edges=6)), 43, 43, 42),
-    ("build-truncated", lambda quad: build(quad, BuildHorizon(max_tree_edges=6, max_vertices=20)), 25, 25, 24),
+    ("build", lambda quad: build(quad, BuildHorizon(max_tree_edges=6)), 0, 0, 42),
+    ("build-truncated", lambda quad: build(quad, BuildHorizon(max_tree_edges=6, max_vertices=20)), 0, 0, 24),
 ]
 
 
@@ -801,7 +823,7 @@ PAUSED = [accepts, enumerate_accepted, run_trace, lift_path, build]
 def test_the_collector_is_paused_for_each_call_and_then_restored(monkeypatch):
     inside = []
     for module, name in [(machine_module, "_search"), (machine_module, "_accepts_deterministic"),
-                         (machine_module, "_run"), (config_graph, "_run"), (config_graph, "successors")]:
+                         (machine_module, "_run"), (config_graph, "_run"), (config_graph, "_explore")]:
         monkeypatch.setattr(module, name, lambda *args, _run=getattr(module, name): inside.append(gc.isenabled())
                             or _run(*args))
     anbn = load_machine("anbn.nsa")
